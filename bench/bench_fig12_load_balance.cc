@@ -19,8 +19,10 @@
 #include "bench_common.h"
 #include "bench_json.h"
 #include "core/engine_backend.h"
+#include "core/multi_device_engine.h"
 #include "data/relational_data.h"
 #include "index/index_builder.h"
+#include "index/shard.h"
 #include "index/vocabulary.h"
 #include "sim/device_set.h"
 
@@ -186,20 +188,36 @@ void BM_SkewedShards(benchmark::State& state, bool planned) {
   MatchEngineOptions options;
   options.k = 8;
   options.max_count = w.max_count;
-  EngineBackendOptions backend_options;
-  backend_options.device_set = devices->get();
-  backend_options.use_planner = planned;
-  auto backend = EngineBackend::Create(&w.index, options, backend_options);
-  GENIE_CHECK(backend.ok());
-
   std::span<const Query> batch(w.queries.data(), w.queries.size());
-  for (auto _ : state) {
-    auto results = (*backend)->ExecuteBatch(batch);
-    GENIE_CHECK(results.ok());
-    benchmark::DoNotOptimize(results);
+  std::vector<MatchProfile> per_device;
+  if (planned) {
+    EngineBackendOptions backend_options;
+    backend_options.device_set = devices->get();
+    auto backend = EngineBackend::Create(&w.index, options, backend_options);
+    GENIE_CHECK(backend.ok());
+    for (auto _ : state) {
+      auto results = (*backend)->ExecuteBatch(batch);
+      GENIE_CHECK(results.ok());
+      benchmark::DoNotOptimize(results);
+    }
+    per_device = (*backend)->device_profiles();
+  } else {
+    // Uniform object-range parts, one per device (round-robin placement).
+    auto sharded = ShardByObjectRange(w.index, set_options.num_devices);
+    GENIE_CHECK(sharded.ok());
+    std::vector<IndexPart> parts;
+    for (size_t p = 0; p < sharded->shards.size(); ++p) {
+      parts.push_back(IndexPart{&sharded->shards[p], sharded->offsets[p]});
+    }
+    auto engine = MultiDeviceEngine::Create(parts, devices->get(), options);
+    GENIE_CHECK(engine.ok());
+    for (auto _ : state) {
+      auto results = (*engine)->ExecuteBatch(batch);
+      GENIE_CHECK(results.ok());
+      benchmark::DoNotOptimize(results);
+    }
+    per_device = (*engine)->profile().per_device;
   }
-
-  const std::vector<MatchProfile> per_device = (*backend)->device_profiles();
   double max_match = 0;
   double min_match = per_device.empty() ? 0 : per_device[0].match_s;
   for (const MatchProfile& p : per_device) {

@@ -178,7 +178,7 @@ Status Engine::Save(const std::string& path,
   // one consistent cut, and a compaction commit must not swap the index
   // out from under BundleIndex(). Searches keep running throughout.
   const std::shared_ptr<void> pause = searcher_->PauseMutation();
-  const InvertedIndex* index = searcher_->BundleIndex();
+  const std::shared_ptr<const InvertedIndex> index = searcher_->BundleIndex();
   if (index == nullptr) {
     return Status::Unimplemented("this engine does not support Save");
   }

@@ -349,10 +349,6 @@ EngineConfig& EngineConfig::Devices(uint32_t n) {
   num_devices_ = n;
   return *this;
 }
-EngineConfig& EngineConfig::UsePlanner(bool use) {
-  use_planner_ = use;
-  return *this;
-}
 EngineConfig& EngineConfig::Remote(net::RemoteOptions remote) {
   remote_ = std::move(remote);
   return *this;
@@ -544,11 +540,9 @@ Result<SearchResult> Engine::SearchStream(const SearchRequest& request,
   if (chunk_size == 0) {
     // The derivation models the per-query working memory (c-PQ arenas /
     // count tables), which is allocated only while a chunk executes and is
-    // never resident for two chunks at once — pipelining double-buffers
-    // only the small task-list staging, which fits in the derivation's
-    // free-capacity headroom (and a staging ResourceExhausted merely falls
-    // back to unpipelined execution for that chunk). So the same fraction
-    // applies with and without pipelining.
+    // never resident for two chunks at once — the pipeline's look-ahead
+    // holds host memory only. So the same fraction applies with and
+    // without pipelining.
     chunk_size = searcher_->DeriveChunkSize(request, options.memory_fraction);
   }
   // Next preference: the chunk size the backend's ExecutionPlan derived
@@ -644,14 +638,13 @@ Result<SearchResult> Engine::SearchStream(const SearchRequest& request,
     return aggregate;
   }
 
-  // Pipelined path: chunk k+1's prepare stage (query transform + device
-  // staging) runs on a look-ahead thread concurrently with chunk k's
-  // execute stage on this thread, double-buffered — exactly one chunk
-  // staged ahead. Results, delivery order, and error semantics match the
-  // sequential path; prepare errors surface at their chunk's turn, and any
-  // error drains the staged successor (the look-ahead future is joined and
-  // the prepared chunk destroyed, releasing its staging memory) before the
-  // status is returned.
+  // Pipelined path: chunk k+1's prepare stage (the host query transform)
+  // runs on a look-ahead thread concurrently with chunk k's execute stage
+  // on this thread — exactly one chunk prepared ahead. Results, delivery
+  // order, and error semantics match the sequential path; prepare errors
+  // surface at their chunk's turn, and any error drains the prepared
+  // successor (the look-ahead future is joined and the prepared chunk
+  // destroyed) before the status is returned.
   struct PrepOutcome {
     Result<std::unique_ptr<Searcher::PreparedChunk>> prepared{
         Status::Internal("prepare never ran")};
@@ -700,7 +693,7 @@ Result<SearchResult> Engine::SearchStream(const SearchRequest& request,
       overlap_s += IntervalOverlapSeconds(outcome.start, outcome.end,
                                           exec_start, exec_end);
     }
-    // Stage the successor before executing this chunk — that concurrency
+    // Prepare the successor before executing this chunk — that concurrency
     // is the pipeline.
     if (index + 1 < num_chunks) {
       current = launch_prepare(index + 1);
@@ -714,7 +707,7 @@ Result<SearchResult> Engine::SearchStream(const SearchRequest& request,
     exec_end = SteadyClock::now();
     // Cancellation on first error (from the execution or the callback):
     // returning destroys `current`, which joins the look-ahead thread and
-    // discards the staged chunk — the drain.
+    // discards the prepared chunk — the drain.
     if (!chunk.ok()) return chunk.status();
     GENIE_RETURN_NOT_OK(deliver(index, first_query, std::move(chunk)));
   }

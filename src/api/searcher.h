@@ -36,9 +36,8 @@ class Searcher {
   /// paths share one code path and stay byte-identical.
   virtual Result<SearchResult> Search(const SearchRequest& request) = 0;
 
-  /// One chunk of a pipelined stream, prepared ahead of execution. Holds
-  /// the chunk's compiled queries and its device staging memory; dropping
-  /// an unexecuted chunk (cancellation) releases both.
+  /// One chunk of a pipelined stream, prepared ahead of execution: the
+  /// chunk's transformed / compiled queries (host memory only).
   struct PreparedChunk {
     virtual ~PreparedChunk() = default;
     /// The sliced request this chunk answers. Payload spans are borrowed:
@@ -47,10 +46,11 @@ class Searcher {
     SearchRequest request;
   };
 
-  /// Prepare stage of the pipelined SearchStream: the modality's query
-  /// transform plus backend staging, deliberately outside the execute
-  /// critical section — the facade runs PrepareChunk(chunk k+1)
-  /// concurrently with ExecutePrepared(chunk k) on this searcher.
+  /// Prepare stage of the pipelined SearchStream: the modality's host-side
+  /// query transform (LSH hashing, n-gram / range lowering), deliberately
+  /// outside the execute critical section — the facade runs
+  /// PrepareChunk(chunk k+1) concurrently with ExecutePrepared(chunk k) on
+  /// this searcher. Touches neither the backend nor the device.
   virtual Result<std::unique_ptr<PreparedChunk>> PrepareChunk(
       const SearchRequest& request) = 0;
 
@@ -80,10 +80,12 @@ class Searcher {
   }
 
   /// The inverted index Engine::Save embeds in the bundle; nullptr when
-  /// the searcher cannot be persisted. For mutated engines this is the
-  /// backend's current (possibly compacted) index — call under
-  /// PauseMutation so a compaction commit cannot swap it mid-save.
-  virtual const InvertedIndex* BundleIndex() const { return nullptr; }
+  /// the searcher cannot be persisted. This is the backend's current
+  /// (possibly compacted) index — call under PauseMutation so the index
+  /// matches the mutation section written beside it.
+  virtual std::shared_ptr<const InvertedIndex> BundleIndex() const {
+    return nullptr;
+  }
 
   // --- Live mutation (Engine::Insert / Remove / Flush). --------------------
 
@@ -110,9 +112,9 @@ class Searcher {
   virtual std::string ExplainPlan() const { return "planner: unavailable"; }
 
   /// Stream chunk size the backend's ExecutionPlan recommends; 0 when no
-  /// plan is live (planner off, legacy path). Second step of SearchStream's
-  /// chunk_size = 0 fallback chain, between the modality derivation and
-  /// the fixed 1024 default.
+  /// plan is live (an escalation set the tier up). Second step of
+  /// SearchStream's chunk_size = 0 fallback chain, between the modality
+  /// derivation and the fixed 1024 default.
   virtual uint32_t PlannedChunkSize() const { return 0; }
 
   /// Monotone counter of answer-changing index mutations (Insert / Remove /

@@ -62,7 +62,6 @@ EngineBackendOptions BackendOptions(const EngineConfig& config) {
   options.force_parts = config.force_parts();
   options.shard_build.max_list_length = config.max_list_length();
   options.num_devices = config.num_devices();
-  options.use_planner = config.use_planner();
   options.remote = config.remote();
   return options;
 }
@@ -101,7 +100,6 @@ std::vector<DeviceProfile> DeviceCosts(
     costs[d].query_transfer_s = devices[d].query_transfer_s;
     costs[d].match_s = devices[d].match_s;
     costs[d].select_s = devices[d].select_s;
-    costs[d].prepare_s = devices[d].prepare_s;
     costs[d].index_bytes = devices[d].index_bytes;
     costs[d].query_bytes = devices[d].query_bytes;
     costs[d].result_bytes = devices[d].result_bytes;
@@ -164,7 +162,6 @@ SearchProfile MakeProfile(const MatchProfile& p, double merge_s,
   profile.select_s = p.select_s;
   profile.merge_s = merge_s;
   profile.verify_s = verify_s;
-  profile.prepare_seconds = p.prepare_s;
   profile.index_bytes = p.index_bytes;
   profile.query_bytes = p.query_bytes;
   profile.result_bytes = p.result_bytes;
@@ -174,7 +171,6 @@ SearchProfile MakeProfile(const MatchProfile& p, double merge_s,
   profile.planned = facts.plan.planned;
   profile.plan_tier = plan::TierToString(facts.plan.tier);
   profile.planned_chunk_size = facts.plan.chunk_size;
-  profile.planned_pipeline_depth = facts.plan.pipeline_depth;
   return profile;
 }
 
@@ -454,12 +450,10 @@ class PointsSearcherImpl : public Searcher {
     return Status::OK();
   }
 
-  const InvertedIndex* BundleIndex() const override {
+  std::shared_ptr<const InvertedIndex> BundleIndex() const override {
     // A compaction may have swapped the backend's index; the searcher's
-    // member still points at the build-time one. Save holds PauseMutation,
-    // so the backend accessor is stable for the duration.
-    return host_.mutated() ? &searcher_->backend().index()
-                           : &searcher_->index();
+    // member still points at the build-time one.
+    return searcher_->backend().index();
   }
 
   Result<std::vector<ObjectId>> Insert(const InsertRequest& request) override {
@@ -637,9 +631,8 @@ class SetsSearcherImpl : public Searcher {
     return Status::OK();
   }
 
-  const InvertedIndex* BundleIndex() const override {
-    return host_.mutated() ? &searcher_->backend().index()
-                           : &searcher_->index();
+  std::shared_ptr<const InvertedIndex> BundleIndex() const override {
+    return searcher_->backend().index();
   }
 
   Result<std::vector<ObjectId>> Insert(const InsertRequest& request) override {
@@ -796,9 +789,8 @@ class SequencesSearcherImpl : public Searcher {
     return Status::OK();
   }
 
-  const InvertedIndex* BundleIndex() const override {
-    return host_.mutated() ? &searcher_->backend().index()
-                           : &searcher_->index();
+  std::shared_ptr<const InvertedIndex> BundleIndex() const override {
+    return searcher_->backend().index();
   }
 
   Result<std::vector<ObjectId>> Insert(const InsertRequest& request) override {
@@ -930,9 +922,8 @@ class DocumentsSearcherImpl : public Searcher {
     return Status::OK();
   }
 
-  const InvertedIndex* BundleIndex() const override {
-    return host_.mutated() ? &searcher_->backend().index()
-                           : &searcher_->index();
+  std::shared_ptr<const InvertedIndex> BundleIndex() const override {
+    return searcher_->backend().index();
   }
 
   Result<std::vector<ObjectId>> Insert(const InsertRequest& request) override {
@@ -1060,9 +1051,8 @@ class RelationalSearcherImpl : public Searcher {
     return Status::OK();
   }
 
-  const InvertedIndex* BundleIndex() const override {
-    return host_.mutated() ? &searcher_->backend().index()
-                           : &searcher_->index();
+  std::shared_ptr<const InvertedIndex> BundleIndex() const override {
+    return searcher_->backend().index();
   }
 
   Result<std::vector<ObjectId>> Insert(const InsertRequest& request) override {
@@ -1170,29 +1160,24 @@ class CompiledSearcherImpl : public Searcher {
     return ExecutePrepared(std::move(chunk));
   }
 
-  struct Prepared : PreparedChunk {
-    EngineBackend::StagedChunk staged;
-  };
-
+  /// Compiled queries need no transform: the prepared chunk is just the
+  /// request.
   Result<std::unique_ptr<PreparedChunk>> PrepareChunk(
       const SearchRequest& request) override {
-    auto chunk = std::make_unique<Prepared>();
+    auto chunk = std::make_unique<PreparedChunk>();
     chunk->request = request;
-    GENIE_ASSIGN_OR_RETURN(chunk->staged,
-                           backend_->Prepare(request.compiled));
-    return std::unique_ptr<PreparedChunk>(std::move(chunk));
+    return chunk;
   }
 
   Result<SearchResult> ExecutePrepared(
       std::unique_ptr<PreparedChunk> chunk) override {
-    auto* prepared = static_cast<Prepared*>(chunk.get());
     std::vector<QueryResult> raw;
     BackendSnapshot before, after;
     {
       std::lock_guard<std::mutex> lock(mu_);
       before = Snapshot(*backend_);
       GENIE_ASSIGN_OR_RETURN(raw,
-                             backend_->Execute(std::move(prepared->staged)));
+                             backend_->ExecuteBatch(chunk->request.compiled));
       after = Snapshot(*backend_);
     }
     SearchResult result;
@@ -1216,7 +1201,7 @@ class CompiledSearcherImpl : public Searcher {
             ? backend_->options().max_count
             : MatchEngine::DeriveMaxCount(request.compiled);
     const uint64_t per_query = MatchEngine::DeviceBytesPerQuery(
-        backend_->index().num_objects(), backend_->options(), max_count);
+        backend_->index()->num_objects(), backend_->options(), max_count);
     const EngineBackend::BatchBudget budget = backend_->batch_budget();
     return DeriveLargeBatchSize(budget.capacity_bytes, budget.allocated_bytes,
                                 per_query, memory_fraction);
@@ -1227,8 +1212,8 @@ class CompiledSearcherImpl : public Searcher {
     return Status::OK();
   }
 
-  const InvertedIndex* BundleIndex() const override {
-    return host_.mutated() ? &backend_->index() : index_;
+  std::shared_ptr<const InvertedIndex> BundleIndex() const override {
+    return backend_->index();
   }
 
   Result<std::vector<ObjectId>> Insert(const InsertRequest& request) override {

@@ -150,10 +150,6 @@ struct DeviceProfile {
   double query_transfer_s = 0;
   double match_s = 0;
   double select_s = 0;
-  /// Prepare-stage seconds of this device (task resolution + staging
-  /// upload); a subset of query_transfer_s, split out so the pipelined
-  /// stream's per-device overlap potential is visible.
-  double prepare_s = 0;
   uint64_t index_bytes = 0;
   uint64_t query_bytes = 0;
   uint64_t result_bytes = 0;
@@ -188,15 +184,16 @@ struct SearchProfile {
   double select_s = 0;
   double merge_s = 0;   // multi-load host merge
   double verify_s = 0;  // sequence verification (Algorithm 2)
-  /// Prepare-stage seconds (Position-Map resolution + device staging of
-  /// the task lists). Counted inside query_transfer_s as well; split out
-  /// because this is the work the pipelined SearchStream overlaps with the
-  /// previous chunk's match.
+  /// The part of query_transfer_s done ahead of execution. Every backend
+  /// tier resolves and ships a batch's task lists inside its execution, so
+  /// this is always 0; kept so profile consumers can keep subtracting it.
   double prepare_seconds = 0;
-  /// Wall-clock seconds during which a chunk's prepare ran concurrently
-  /// with another chunk's execution (the pipelined SearchStream's win;
-  /// always 0 on blocking Search and on single-chunk or unpipelined
-  /// streams).
+  /// Wall-clock seconds during which a chunk's prepare stage — the host
+  /// query transform (LSH hashing, n-gram / range lowering) — ran
+  /// concurrently with another chunk's execution (the pipelined
+  /// SearchStream's win; always 0 on blocking Search, on single-chunk or
+  /// unpipelined streams, and for compiled queries, which need no
+  /// transform).
   double overlap_seconds = 0;
   uint64_t index_bytes = 0;
   uint64_t query_bytes = 0;
@@ -220,15 +217,13 @@ struct SearchProfile {
   /// Coordinator-side scatter wall seconds (remote tier only).
   double scatter_seconds = 0;
   /// True when the live tier was built from a QueryPlanner ExecutionPlan
-  /// (false = legacy decision path, or the escalation safety net replaced
-  /// the plan mid-way).
+  /// (false = a batch-time escalation replaced the plan mid-way).
   bool planned = false;
   /// Tier the plan named ("single-device" / "multi-device" / "multi-load";
   /// empty on searchers without a planning backend).
   std::string plan_tier;
-  /// Stream chunk size / pipeline depth the plan recommends.
+  /// Stream chunk size the plan recommends.
   uint32_t planned_chunk_size = 1;
-  uint32_t planned_pipeline_depth = 1;
   /// Serving layer (EngineConfig::Serving): seconds this request waited in
   /// its tenant queue before its super-batch executed. 0 on the legacy path
   /// and on cache hits.
@@ -266,7 +261,6 @@ struct SearchProfile {
     planned = other.planned;
     plan_tier = other.plan_tier;
     planned_chunk_size = other.planned_chunk_size;
-    planned_pipeline_depth = other.planned_pipeline_depth;
     queue_seconds += other.queue_seconds;
     coalesced_batch = std::max(coalesced_batch, other.coalesced_batch);
     cache_hits += other.cache_hits;
@@ -278,7 +272,6 @@ struct SearchProfile {
       per_device[d].query_transfer_s += other.per_device[d].query_transfer_s;
       per_device[d].match_s += other.per_device[d].match_s;
       per_device[d].select_s += other.per_device[d].select_s;
-      per_device[d].prepare_s += other.per_device[d].prepare_s;
       per_device[d].index_bytes += other.per_device[d].index_bytes;
       per_device[d].query_bytes += other.per_device[d].query_bytes;
       per_device[d].result_bytes += other.per_device[d].result_bytes;
@@ -330,17 +323,16 @@ struct SearchStreamOptions {
   uint32_t chunk_size = 1024;
   /// When chunk_size is 0: fraction of the free device capacity the
   /// per-chunk working memory may occupy. Working memory is only resident
-  /// for the executing chunk (pipelining double-buffers just the small
-  /// task-list staging, covered by the remaining headroom), so the same
-  /// fraction applies with and without pipelining.
+  /// for the executing chunk (the pipeline's look-ahead holds host memory
+  /// only), so the same fraction applies with and without pipelining.
   double memory_fraction = 0.5;
-  /// Two-stage pipelining (default on): chunk k+1's prepare stage (query
-  /// transform + per-device staging of the task lists) runs concurrently
-  /// with chunk k's execute stage (match + select + host merge),
-  /// double-buffered — at most one chunk staged ahead. Results, delivery
-  /// order, and cancellation semantics are identical to the sequential
-  /// path; the first error also drains (discards) the staged chunk.
-  /// profile.overlap_seconds reports the measured overlap.
+  /// Two-stage pipelining (default on): chunk k+1's prepare stage (the
+  /// host query transform) runs concurrently with chunk k's execute stage
+  /// (query transfer + match + select + host merge) — at most one chunk
+  /// prepared ahead. Results, delivery order, and cancellation semantics
+  /// are identical to the sequential path; the first error also drains
+  /// (discards) the prepared chunk. profile.overlap_seconds reports the
+  /// measured overlap.
   bool pipeline = true;
 };
 

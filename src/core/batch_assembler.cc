@@ -32,7 +32,7 @@ uint32_t BatchAssembler::BatchSizeFor(const EngineBackend& backend,
                                  ? backend.options().max_count
                                  : MatchEngine::DeriveMaxCount(queries);
   const uint64_t per_query = MatchEngine::DeviceBytesPerQuery(
-      backend.index().num_objects(), backend.options(), max_count);
+      backend.index()->num_objects(), backend.options(), max_count);
   const EngineBackend::BatchBudget budget = backend.batch_budget();
   return DeriveFromMemory(budget.capacity_bytes, budget.allocated_bytes,
                           per_query, memory_fraction);

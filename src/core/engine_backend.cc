@@ -10,7 +10,7 @@ namespace genie {
 EngineBackend::EngineBackend(const InvertedIndex* index,
                              const MatchEngineOptions& options,
                              const EngineBackendOptions& backend_options)
-    : index_(index),
+    : index_(index, [](const InvertedIndex*) {}),
       options_(options),
       backend_options_(backend_options),
       base_selector_(options.selector) {}
@@ -84,6 +84,7 @@ void EngineBackend::RetireEngines() {
     carried_merge_s_ += p.merge_s;
     multi_device_.reset();
   }
+  sharded_.reset();
 }
 
 Result<ShardedIndex> EngineBackend::ShardLocked(
@@ -92,7 +93,7 @@ Result<ShardedIndex> EngineBackend::ShardLocked(
     return ShardByBoundaries(*index_, boundaries,
                              backend_options_.shard_build);
   }
-  if (backend_options_.use_planner && stats_.MatchesIndex(*index_)) {
+  if (stats_.MatchesIndex(*index_)) {
     // Escalations re-shard through the same volume-balanced cut a re-plan
     // would emit, so planned and escalated part layouts agree.
     return ShardByBoundaries(*index_,
@@ -110,29 +111,22 @@ Status EngineBackend::SetUpMultiLoad(uint32_t parts,
   }
   // Build the replacement fully before touching the live engine, so an
   // error here leaves the backend in its previous (still valid) state.
-  // The sharded index is shared: an in-flight staged chunk (or a Prepare
-  // racing this escalation) keeps the previous generation alive until it
-  // drains.
   GENIE_ASSIGN_OR_RETURN(ShardedIndex sharded,
                          ShardLocked(parts, boundaries));
-  auto shared = std::make_shared<ShardedIndex>(std::move(sharded));
+  auto owned = std::make_unique<const ShardedIndex>(std::move(sharded));
   std::vector<IndexPart> index_parts;
-  index_parts.reserve(shared->shards.size());
-  for (size_t p = 0; p < shared->shards.size(); ++p) {
-    index_parts.push_back(IndexPart{&shared->shards[p], shared->offsets[p]});
+  index_parts.reserve(owned->shards.size());
+  for (size_t p = 0; p < owned->shards.size(); ++p) {
+    index_parts.push_back(IndexPart{&owned->shards[p], owned->offsets[p]});
   }
   GENIE_ASSIGN_OR_RETURN(std::unique_ptr<MultiLoadEngine> multi,
                          MultiLoadEngine::Create(index_parts, options_));
 
   // Commit: fold the retiring engine's stage costs into the carried
-  // profile, then swap. The multi-device tier is never re-established
-  // after a fallback, but an owned device registry is kept until the
-  // backend dies: staged chunks prepared against the retired tier may
-  // still hold buffers on its devices.
+  // profile, then swap.
   RetireEngines();
-  sharded_ = std::move(shared);
+  sharded_ = std::move(owned);
   multi_ = std::move(multi);
-  ++generation_;
   // Record the layout that actually went live (an escalation diverges from
   // the plan; ApplyPlanLocked overwrites this with the planned version).
   plan_.planned = false;
@@ -164,20 +158,19 @@ Status EngineBackend::SetUpMultiDevice(uint32_t parts,
     }
   }
   GENIE_ASSIGN_OR_RETURN(ShardedIndex sharded, ShardLocked(parts, boundaries));
-  auto shared = std::make_shared<ShardedIndex>(std::move(sharded));
+  auto owned = std::make_unique<const ShardedIndex>(std::move(sharded));
   std::vector<IndexPart> index_parts;
-  index_parts.reserve(shared->shards.size());
-  for (size_t p = 0; p < shared->shards.size(); ++p) {
-    index_parts.push_back(IndexPart{&shared->shards[p], shared->offsets[p]});
+  index_parts.reserve(owned->shards.size());
+  for (size_t p = 0; p < owned->shards.size(); ++p) {
+    index_parts.push_back(IndexPart{&owned->shards[p], owned->offsets[p]});
   }
   GENIE_ASSIGN_OR_RETURN(
       std::unique_ptr<MultiDeviceEngine> multi_device,
       MultiDeviceEngine::Create(index_parts, devices_, options_, placement));
 
   RetireEngines();
-  sharded_ = std::move(shared);
+  sharded_ = std::move(owned);
   multi_device_ = std::move(multi_device);
-  ++generation_;
   plan_.planned = false;
   plan_.tier = plan::ExecutionPlan::Tier::kMultiDevice;
   plan_.selector = options_.selector;
@@ -220,7 +213,7 @@ Result<std::unique_ptr<EngineBackend>> EngineBackend::Create(
   backend->backend_options_.num_devices = num_devices;
   backend->base_k_ = effective_options.k;
 
-  if (backend_options.use_planner && backend_options.index_stats != nullptr &&
+  if (backend_options.index_stats != nullptr &&
       backend_options.index_stats->MatchesIndex(*index)) {
     // Persisted stats (a bundle's stats section): adopt them and skip the
     // stats pass entirely. The pointer is borrowed only for this copy.
@@ -235,7 +228,6 @@ Result<std::unique_ptr<EngineBackend>> EngineBackend::Create(
 }
 
 void EngineBackend::RefreshStatsLocked() {
-  if (!backend_options_.use_planner) return;
   if (stats_.MatchesIndex(*index_)) return;
   stats_ = plan::ComputeIndexStats(*index_);
   stats_persisted_ = false;
@@ -293,10 +285,9 @@ Status EngineBackend::ApplyPlanLocked(const plan::ExecutionPlan& p) {
   switch (p.tier) {
     case plan::ExecutionPlan::Tier::kSingleDevice: {
       GENIE_ASSIGN_OR_RETURN(std::unique_ptr<MatchEngine> single,
-                             MatchEngine::Create(index_, options_));
+                             MatchEngine::Create(index_.get(), options_));
       RetireEngines();
       single_ = std::move(single);
-      ++generation_;
       return Status::OK();
     }
     case plan::ExecutionPlan::Tier::kMultiDevice:
@@ -312,7 +303,7 @@ Status EngineBackend::ApplyPlanLocked(const plan::ExecutionPlan& p) {
 
 Status EngineBackend::SetUpRemote() {
   const net::RemoteOptions& remote = backend_options_.remote;
-  if (remote_ != nullptr && remote_index_ == index_) {
+  if (remote_ != nullptr && remote_index_ == index_.get()) {
     // Same index, new options (k growth, selector promotion): the workers
     // rebuild their engines lazily from the wire options — no re-push.
     remote_->UpdateOptions(options_);
@@ -340,9 +331,8 @@ Status EngineBackend::SetUpRemote() {
                          RemoteEngine::Create(index_parts, options_, remote));
   RetireEngines();
   remote_ = std::move(engine);
-  remote_index_ = index_;
-  ++generation_;
-  plan_.planned = backend_options_.use_planner;
+  remote_index_ = index_.get();
+  plan_.planned = true;
   plan_.tier = plan::ExecutionPlan::Tier::kRemote;
   plan_.selector = options_.selector;
   plan_.num_parts = parts;
@@ -355,13 +345,13 @@ Status EngineBackend::SetUpRemote() {
 
 Status EngineBackend::SetUpTierLocked() {
   if (backend_options_.remote.enabled()) return SetUpRemote();
-  if (!backend_options_.use_planner) return SetUpTierLegacyLocked();
   RefreshStatsLocked();
   const plan::QueryPlanner planner(stats_);
+  Status status;
   for (int attempt = 0; attempt < 3; ++attempt) {
     plan::ExecutionPlan candidate =
         planner.Plan(PlannerInputsLocked(), cost_model_);
-    const Status status = ApplyPlanLocked(candidate);
+    status = ApplyPlanLocked(candidate);
     if (status.ok()) {
       plan_ = std::move(candidate);
       return status;
@@ -371,57 +361,11 @@ Status EngineBackend::SetUpTierLocked() {
     // margin) and re-plan against the tightened model.
     cost_model_.RecordEscalation();
   }
-  // Three tightened plans in a row still missed — the classic
-  // try-and-escalate ladder is the last-resort safety net.
-  return SetUpTierLegacyLocked();
-}
-
-Status EngineBackend::SetUpTierLegacyLocked() {
-  // The legacy path runs the configured selector bit-for-bit (no planner
-  // promotion).
-  options_.selector = base_selector_;
-  // Tier selection: multi-device when N > 1 (space multiplexing), else
-  // single load, falling back to sequential multiple loading when the
-  // index (or the parts' residency) exceeds device memory.
-  if (backend_options_.num_devices > 1) {
-    const uint32_t parts =
-        std::max(backend_options_.num_devices, backend_options_.force_parts);
-    Status status = SetUpMultiDevice(parts);
-    if (status.ok()) return status;
-    if (status.code() != StatusCode::kResourceExhausted ||
-        !backend_options_.allow_multi_load) {
-      return status;
-    }
-    // Residency exceeded a device: time-multiplex the base device instead.
-    cost_model_.RecordEscalation();
-    return SetUpMultiLoad(
-        std::max(EstimateParts(), backend_options_.force_parts));
-  }
-
-  if (backend_options_.force_parts > 0) {
-    return SetUpMultiLoad(backend_options_.force_parts);
-  }
-
-  auto single = MatchEngine::Create(index_, options_);
-  if (single.ok()) {
-    RetireEngines();
-    single_ = std::move(single).ValueOrDie();
-    ++generation_;
-    plan_.planned = false;
-    plan_.tier = plan::ExecutionPlan::Tier::kSingleDevice;
-    plan_.selector = options_.selector;
-    plan_.num_parts = 1;
-    plan_.part_boundaries.clear();
-    plan_.device_of_part.clear();
-    return Status::OK();
-  }
-  if (single.status().code() != StatusCode::kResourceExhausted ||
-      !backend_options_.allow_multi_load) {
-    return single.status();
-  }
-  // The List Array alone exceeded device memory: shard and multiple-load.
-  cost_model_.RecordEscalation();
-  return SetUpMultiLoad(EstimateParts());
+  // Three tightened plans in a row still missed: time-multiplex the base
+  // device, the last rung of the escalation ladder.
+  if (!backend_options_.allow_multi_load) return status;
+  return SetUpMultiLoad(
+      std::max(EstimateParts(), backend_options_.force_parts));
 }
 
 void EngineBackend::AttachDeltaStore(const delta::DeltaStore* store) {
@@ -438,17 +382,16 @@ Status EngineBackend::SwapIndex(std::shared_ptr<const InvertedIndex> index,
                                 const std::function<void()>& on_committed) {
   if (index == nullptr) return Status::InvalidArgument("index is null");
   std::lock_guard<std::mutex> lock(mu_);
-  const InvertedIndex* old_index = index_;
-  std::shared_ptr<const InvertedIndex> old_owned = std::move(owned_index_);
-  index_ = index.get();
-  owned_index_ = std::move(index);
+  // The old index stays referenced until SetUpTierLocked returns: the
+  // retiring engines read it, and SetUpRemote tells a new index from the
+  // one its workers hold by address, which must not be reused meanwhile.
+  std::shared_ptr<const InvertedIndex> old_index = std::move(index_);
+  index_ = std::move(index);
   const Status status = SetUpTierLocked();
   if (!status.ok()) {
-    index_ = old_index;
-    owned_index_ = std::move(old_owned);
+    index_ = std::move(old_index);
     return status;
   }
-  if (old_owned != nullptr) retired_indexes_.push_back(std::move(old_owned));
   if (on_committed) on_committed();
   // The swapped-in index may answer differently (compaction folded delta
   // segments in); invalidate every serving-layer cached result.
@@ -516,25 +459,7 @@ void EngineBackend::ApplyDeltaOverlay(const delta::DeltaSnapshot& snap,
 
 Result<std::vector<QueryResult>> EngineBackend::ExecuteBatch(
     std::span<const Query> queries) {
-  Result<std::vector<QueryResult>> results = std::vector<QueryResult>{};
-  delta::DeltaSnapshot snap;
-  bool overlay = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    GENIE_RETURN_NOT_OK(MaybeGrowSlackLocked());
-    const ProfileSnapshot before = SnapshotLocked();
-    results = ExecuteBatchLocked(queries);
-    if (results.ok()) ObserveExecutionLocked(before, queries);
-    if (results.ok() && delta_store_ != nullptr) {
-      // Captured under the same mu_ hold as the execution: the snapshot is
-      // consistent with the executed index (a compaction swap + prune is
-      // one atomic step under this mutex).
-      snap = delta_store_->snapshot();
-      overlay = !snap.empty() || options_.k != base_k_;
-    }
-  }
-  if (overlay) ApplyDeltaOverlay(snap, queries, base_k_, &results.ValueOrDie());
-  return results;
+  return ExecuteBatchAtK(queries, base_k_);
 }
 
 Result<std::vector<QueryResult>> EngineBackend::ExecuteBatchAtK(
@@ -562,6 +487,9 @@ Result<std::vector<QueryResult>> EngineBackend::ExecuteBatchAtK(
     results = ExecuteBatchLocked(queries);
     if (results.ok()) {
       ObserveExecutionLocked(before, queries);
+      // Captured under the same mu_ hold as the execution: the snapshot is
+      // consistent with the executed index (a compaction swap + prune is
+      // one atomic step under this mutex).
       if (delta_store_ != nullptr) snap = delta_store_->snapshot();
       overlay = !snap.empty() || options_.k != k;
     }
@@ -579,256 +507,51 @@ Result<std::vector<QueryResult>> EngineBackend::ExecuteBatchLocked(
     // runtime fallback.
     return remote_->ExecuteBatch(queries);
   }
-  if (single_ != nullptr) {
-    auto results = single_->ExecuteBatch(queries);
+  while (true) {
+    Result<std::vector<QueryResult>> results =
+        single_ != nullptr         ? single_->ExecuteBatch(queries)
+        : multi_device_ != nullptr ? multi_device_->ExecuteBatch(queries)
+                                   : multi_->ExecuteBatch(queries);
     if (results.ok() ||
-        results.status().code() != StatusCode::kResourceExhausted ||
-        !backend_options_.allow_multi_load) {
+        results.status().code() != StatusCode::kResourceExhausted) {
       return results;
     }
-    // Batch working memory did not fit beside the index (or the per-query
-    // hash table overflowed): retire the single engine — freeing the
-    // device-resident index — and escalate through multiple loading.
-    if (MatchEngine::IsCpqOverflow(results.status())) {
-      cost_model_.RecordCpqOverflow();
-      if (backend_options_.use_planner &&
-          options_.selector == MatchEngineOptions::Selector::kCpq) {
-        // Re-plan: with the overflow recorded the planner promotes the
-        // batch to kBucketSelect, whose select stage cannot overflow.
-        GENIE_RETURN_NOT_OK(SetUpTierLocked());
-        if (options_.selector != MatchEngineOptions::Selector::kCpq) {
-          return ExecuteBatchLocked(queries);
-        }
-      }
-    } else {
-      cost_model_.RecordEscalation();
-    }
-    GENIE_RETURN_NOT_OK(SetUpMultiLoad(
-        std::max(2u, std::min(EstimateParts(), backend_options_.max_parts))));
+    GENIE_RETURN_NOT_OK(EscalateLocked(results.status()));
   }
-
-  if (multi_device_ != nullptr) {
-    auto results = multi_device_->ExecuteBatch(queries);
-    if (results.ok() ||
-        results.status().code() != StatusCode::kResourceExhausted ||
-        !backend_options_.allow_multi_load) {
-      return results;
-    }
-    // Working memory did not fit beside the resident parts on some device;
-    // sharding finer does not reduce per-device residency, so fall back to
-    // time-multiplexing the base device. A c-PQ overflow instead re-plans
-    // onto the overflow-immune selector and keeps the resident tier.
-    if (MatchEngine::IsCpqOverflow(results.status())) {
-      cost_model_.RecordCpqOverflow();
-      if (backend_options_.use_planner &&
-          options_.selector == MatchEngineOptions::Selector::kCpq) {
-        GENIE_RETURN_NOT_OK(SetUpTierLocked());
-        if (options_.selector != MatchEngineOptions::Selector::kCpq) {
-          return ExecuteBatchLocked(queries);
-        }
-      }
-    } else {
-      cost_model_.RecordEscalation();
-    }
-    GENIE_RETURN_NOT_OK(SetUpMultiLoad(
-        std::max(2u, std::min(EstimateParts(), backend_options_.max_parts))));
-  }
-
-  return MultiLoadLoopLocked(queries);
 }
 
-Result<std::vector<QueryResult>> EngineBackend::MultiLoadLoopLocked(
-    std::span<const Query> queries) {
-  while (true) {
-    auto results = multi_->ExecuteBatch(queries);
-    if (results.ok()) return results;
-    if (results.status().code() != StatusCode::kResourceExhausted) {
-      return results;
-    }
-    if (MatchEngine::IsCpqOverflow(results.status())) {
-      cost_model_.RecordCpqOverflow();
-      if (backend_options_.use_planner &&
-          options_.selector == MatchEngineOptions::Selector::kCpq) {
-        GENIE_RETURN_NOT_OK(SetUpTierLocked());
-        if (options_.selector != MatchEngineOptions::Selector::kCpq) {
-          return ExecuteBatchLocked(queries);
-        }
+Status EngineBackend::EscalateLocked(const Status& miss) {
+  const bool from_multi_load = multi_ != nullptr;
+  if (!from_multi_load && !backend_options_.allow_multi_load) return miss;
+  const uint32_t parts = NumPartsLocked();
+  const bool overflow = MatchEngine::IsCpqOverflow(miss);
+  if (overflow) {
+    cost_model_.RecordCpqOverflow();
+    if (options_.selector == MatchEngineOptions::Selector::kCpq) {
+      // Re-plan: with the overflow recorded the planner promotes the batch
+      // to kBucketSelect, whose select stage cannot overflow.
+      GENIE_RETURN_NOT_OK(SetUpTierLocked());
+      if (options_.selector != MatchEngineOptions::Selector::kCpq) {
+        return Status::OK();
       }
     }
-    const uint32_t parts = NumPartsLocked();
+  }
+  // Batch working memory did not fit beside the resident index (or the
+  // re-plan could not avoid the overflow): a resident tier retires —
+  // freeing its device-resident index — and multiple-loads; the multi-load
+  // tier splits finer. Sharding finer does not shrink per-device residency
+  // on the multi-device tier, so it too falls back to the base device.
+  uint32_t next_parts =
+      std::max(2u, std::min(EstimateParts(), backend_options_.max_parts));
+  if (from_multi_load) {
     if (parts >= backend_options_.max_parts ||
         parts >= index_->num_objects()) {
-      return results;
+      return miss;
     }
-    if (!MatchEngine::IsCpqOverflow(results.status())) {
-      cost_model_.RecordEscalation();
-    }
-    GENIE_RETURN_NOT_OK(
-        SetUpMultiLoad(std::min(parts * 2, backend_options_.max_parts)));
+    next_parts = std::min(parts * 2, backend_options_.max_parts);
   }
-}
-
-Result<EngineBackend::StagedChunk> EngineBackend::Prepare(
-    std::span<const Query> queries) {
-  if (queries.empty()) {
-    return Status::InvalidArgument("empty query batch");
-  }
-  StagedChunk chunk;
-  chunk.queries_ = queries;
-  std::shared_ptr<MatchEngine> single;
-  std::shared_ptr<MultiLoadEngine> multi;
-  std::shared_ptr<MultiDeviceEngine> multi_device;
-  std::shared_ptr<const ShardedIndex> shards;
-  {
-    // Snapshot the live tier; the staging work below runs outside the lock
-    // so it can overlap a chunk executing on the device. The local shared
-    // references keep the snapshotted engine (and the sharded index it
-    // reads) alive through the staging calls even if a concurrent
-    // execution escalates tiers mid-staging; they are dropped when Prepare
-    // returns — the finished chunk holds only device buffers, so it never
-    // pins a retired engine's device memory. Execute detects a tier switch
-    // via the generation and discards the staged work.
-    std::lock_guard<std::mutex> lock(mu_);
-    chunk.generation_ = generation_;
-    shards = sharded_;
-    single = single_;
-    multi = multi_;
-    multi_device = multi_device_;
-  }
-  if (single != nullptr) {
-    auto staged = single->Prepare(queries);
-    if (staged.ok()) {
-      chunk.tier_ = StagedChunk::Tier::kSingle;
-      chunk.single_staged_ = std::move(staged).ValueOrDie();
-    } else if (staged.status().code() != StatusCode::kResourceExhausted) {
-      return staged.status();
-    }
-    // ResourceExhausted: no room to double-buffer the task lists beside
-    // the in-flight chunk; the chunk executes unpipelined (which can still
-    // escalate tiers if even single-buffered execution does not fit).
-  } else if (multi_device != nullptr) {
-    auto staged = multi_device->Prepare(queries);
-    if (staged.ok()) {
-      chunk.tier_ = StagedChunk::Tier::kMultiDevice;
-      chunk.device_staged_ = std::move(staged).ValueOrDie();
-    } else if (staged.status().code() != StatusCode::kResourceExhausted) {
-      return staged.status();
-    }
-  } else if (multi != nullptr) {
-    // Host-side resolution only — the multi-load device has no room for a
-    // second chunk's buffers, so the overlappable half is the CPU work.
-    chunk.multi_staged_ = multi->Prepare(queries);
-    chunk.tier_ = StagedChunk::Tier::kMultiLoad;
-  }
-  return chunk;
-}
-
-Result<std::vector<QueryResult>> EngineBackend::Execute(StagedChunk chunk) {
-  const std::span<const Query> queries = chunk.queries_;
-  Result<std::vector<QueryResult>> results = std::vector<QueryResult>{};
-  delta::DeltaSnapshot snap;
-  bool overlay = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // A slack rebuild bumps the generation, so the staged chunk falls back
-    // to the plain path below — correctness over the staging win.
-    GENIE_RETURN_NOT_OK(MaybeGrowSlackLocked());
-    const ProfileSnapshot before = SnapshotLocked();
-    results = ExecuteStagedLocked(std::move(chunk));
-    if (results.ok()) ObserveExecutionLocked(before, queries);
-    if (results.ok() && delta_store_ != nullptr) {
-      snap = delta_store_->snapshot();
-      overlay = !snap.empty() || options_.k != base_k_;
-    }
-  }
-  if (overlay) ApplyDeltaOverlay(snap, queries, base_k_, &results.ValueOrDie());
-  return results;
-}
-
-Result<std::vector<QueryResult>> EngineBackend::ExecuteStagedLocked(
-    StagedChunk chunk) {
-  // Shared tail of the resident tiers (single / multi-device): return the
-  // staged results unless they signal the multi-load escalation, which
-  // mirrors ExecuteBatchLocked. The staged buffers were already released
-  // by ExecuteStaged, and chunks hold no engine references, so the
-  // retire inside SetUpMultiLoad genuinely frees the device-resident
-  // index before the fallback needs the memory — even with a successor
-  // chunk staged ahead.
-  auto finish_resident_tier =
-      [&](Result<std::vector<QueryResult>> results,
-          std::span<const Query> queries)
-      -> Result<std::vector<QueryResult>> {
-    if (results.ok() ||
-        results.status().code() != StatusCode::kResourceExhausted ||
-        !backend_options_.allow_multi_load) {
-      return results;
-    }
-    if (MatchEngine::IsCpqOverflow(results.status())) {
-      cost_model_.RecordCpqOverflow();
-      if (backend_options_.use_planner &&
-          options_.selector == MatchEngineOptions::Selector::kCpq) {
-        GENIE_RETURN_NOT_OK(SetUpTierLocked());
-        if (options_.selector != MatchEngineOptions::Selector::kCpq) {
-          return ExecuteBatchLocked(queries);
-        }
-      }
-    } else {
-      cost_model_.RecordEscalation();
-    }
-    GENIE_RETURN_NOT_OK(SetUpMultiLoad(std::max(
-        2u, std::min(EstimateParts(), backend_options_.max_parts))));
-    return MultiLoadLoopLocked(queries);
-  };
-  if (chunk.tier_ != StagedChunk::Tier::kNone &&
-      chunk.generation_ == generation_) {
-    switch (chunk.tier_) {
-      case StagedChunk::Tier::kSingle:
-        return finish_resident_tier(
-            single_->ExecuteStaged(std::move(chunk.single_staged_)),
-            chunk.queries_);
-      case StagedChunk::Tier::kMultiDevice:
-        return finish_resident_tier(
-            multi_device_->ExecuteStaged(std::move(chunk.device_staged_)),
-            chunk.queries_);
-      case StagedChunk::Tier::kMultiLoad: {
-        auto results = multi_->ExecuteStaged(std::move(chunk.multi_staged_));
-        if (results.ok() ||
-            results.status().code() != StatusCode::kResourceExhausted) {
-          return results;
-        }
-        // Part escalation invalidates the pre-resolved per-part task
-        // lists; re-enter the plain loop (which re-resolves per attempt).
-        if (MatchEngine::IsCpqOverflow(results.status())) {
-          cost_model_.RecordCpqOverflow();
-          if (backend_options_.use_planner &&
-              options_.selector == MatchEngineOptions::Selector::kCpq) {
-            GENIE_RETURN_NOT_OK(SetUpTierLocked());
-            if (options_.selector != MatchEngineOptions::Selector::kCpq) {
-              return ExecuteBatchLocked(chunk.queries_);
-            }
-          }
-        }
-        const uint32_t parts = NumPartsLocked();
-        if (parts >= backend_options_.max_parts ||
-            parts >= index_->num_objects()) {
-          return results;
-        }
-        if (!MatchEngine::IsCpqOverflow(results.status())) {
-          cost_model_.RecordEscalation();
-        }
-        GENIE_RETURN_NOT_OK(
-            SetUpMultiLoad(std::min(parts * 2, backend_options_.max_parts)));
-        return MultiLoadLoopLocked(chunk.queries_);
-      }
-      case StagedChunk::Tier::kNone:
-        break;
-    }
-  }
-  // Unstaged chunk, or the backend escalated between Prepare and Execute:
-  // drop any stale staged state, then run the plain path.
-  const std::span<const Query> queries = chunk.queries_;
-  chunk = StagedChunk{};
-  return ExecuteBatchLocked(queries);
+  if (!overflow) cost_model_.RecordEscalation();
+  return SetUpMultiLoad(next_parts);
 }
 
 uint64_t EngineBackend::ScannedPostingsLocked(
@@ -846,7 +569,7 @@ uint64_t EngineBackend::ScannedPostingsLocked(
 
 void EngineBackend::ObserveExecutionLocked(const ProfileSnapshot& before,
                                            std::span<const Query> queries) {
-  if (!backend_options_.use_planner || queries.empty()) return;
+  if (queries.empty()) return;
   const ProfileSnapshot after = SnapshotLocked();
   MatchProfile delta = after.match;
   delta.Subtract(before.match);
@@ -979,11 +702,8 @@ plan::IndexStats EngineBackend::index_stats() const {
 
 std::string EngineBackend::ExplainPlan() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "planner: ";
-  out += backend_options_.use_planner ? "on" : "off";
-  if (backend_options_.use_planner) {
-    out += stats_persisted_ ? " (stats: persisted)" : " (stats: computed)";
-  }
+  std::string out = "planner: on";
+  out += stats_persisted_ ? " (stats: persisted)" : " (stats: computed)";
   out += "\nplan: ";
   out += plan_.DebugString();
   out += "\nlive: tier=";

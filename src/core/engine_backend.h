@@ -66,14 +66,6 @@ struct EngineBackendOptions {
   /// runs the classic single-device tiers on its device(0).
   sim::DeviceSet* device_set = nullptr;
 
-  /// Decide tier / part boundaries / placement through the cost-model
-  /// query planner (the default): an IndexStats pass feeds a QueryPlanner
-  /// whose ExecutionPlan the backend executes, with the try-and-escalate
-  /// path kept only as a safety net that feeds misses back into the model.
-  /// false = the legacy hard-coded decisions (uniform object-range
-  /// sharding, try-and-escalate tier selection) — kept bit-for-bit for the
-  /// plan-vs-escalation equality tests.
-  bool use_planner = true;
   /// Precomputed stats of the creation-time index (e.g. persisted in a
   /// bundle), so Create skips the stats pass. Borrowed only during Create
   /// (the backend copies them); ignored — and recomputed — when they do
@@ -81,8 +73,7 @@ struct EngineBackendOptions {
   const plan::IndexStats* index_stats = nullptr;
 
   /// The multi-node tier: when endpoints are configured the backend shards
-  /// the index across them (postings-volume-balanced cut when the planner
-  /// is on) and executes every batch through a RemoteEngine scatter-gather
+  /// the index across them (postings-volume-balanced cut) and executes every batch through a RemoteEngine scatter-gather
   /// instead of the local tiers. Mutually exclusive with num_devices > 1 /
   /// device_set (one machine-parallelism axis at a time).
   net::RemoteOptions remote;
@@ -109,7 +100,7 @@ class EngineBackend {
     uint32_t parts = 1;
     uint32_t num_devices = 1;
     /// The execution plan the live tier runs under (plan.planned == false
-    /// when the legacy / escalation fallback path set the tier up).
+    /// when an escalation set the tier up).
     plan::ExecutionPlan plan;
     /// Multi-node tier only: per-worker transport/stage accounting.
     bool remote = false;
@@ -122,7 +113,7 @@ class EngineBackend {
       const EngineBackendOptions& backend_options = {});
 
   /// Executes one batch, escalating to (more) parts on ResourceExhausted.
-  /// Equivalent to Execute(Prepare(queries)).
+  /// Equivalent to ExecuteBatchAtK(queries, configured k).
   Result<std::vector<QueryResult>> ExecuteBatch(std::span<const Query> queries);
 
   /// Executes one batch answering the top `k` per query instead of the
@@ -134,55 +125,6 @@ class EngineBackend {
   /// overlay, so results are unaffected).
   Result<std::vector<QueryResult>> ExecuteBatchAtK(
       std::span<const Query> queries, uint32_t k);
-
-  /// One chunk of the streaming pipeline, prepared ahead of execution: the
-  /// queries resolved into task lists and staged onto every device the live
-  /// tier will execute on (host-side only on the multi-load tier, whose
-  /// device can hold just one part at a time). Holds device staging memory;
-  /// destroying an unexecuted chunk (cancellation) releases it. Must not
-  /// outlive the backend, and the query span must stay alive until Execute
-  /// returns.
-  class StagedChunk {
-   public:
-    StagedChunk() = default;
-    StagedChunk(StagedChunk&&) = default;
-    StagedChunk& operator=(StagedChunk&&) = default;
-
-    /// True when device/host staging actually happened (false = Execute
-    /// will run the plain unpipelined path, e.g. because staging memory
-    /// did not fit beside the in-flight chunk).
-    bool staged() const { return tier_ != Tier::kNone; }
-
-   private:
-    friend class EngineBackend;
-    enum class Tier { kNone, kSingle, kMultiLoad, kMultiDevice };
-
-    Tier tier_ = Tier::kNone;
-    std::span<const Query> queries_;
-    uint64_t generation_ = 0;
-    /// Deliberately NO reference to the staged-against engine: the staged
-    /// state below only references devices (which outlive the backend), so
-    /// a chunk in flight never pins a retiring engine's device-resident
-    /// index through a tier escalation. Execute validates the tier via the
-    /// generation and uses the backend's own engine.
-    MatchEngine::StagedBatch single_staged_;
-    MultiLoadEngine::StagedBatch multi_staged_;
-    MultiDeviceEngine::StagedBatch device_staged_;
-  };
-
-  /// Prepare stage of the pipeline: transform-side work (Position-Map
-  /// resolution) plus per-device staging for the live tier. Thread-safe
-  /// and deliberately NOT serialized with Execute — Prepare(chunk k+1) is
-  /// meant to run concurrently with Execute(chunk k). A ResourceExhausted
-  /// during staging is absorbed (the chunk comes back unstaged and Execute
-  /// runs the plain path, which can still escalate); other errors surface.
-  Result<StagedChunk> Prepare(std::span<const Query> queries);
-
-  /// Execute stage: match + select + host merge of a prepared chunk,
-  /// consuming it. Serialized under the backend mutex like ExecuteBatch,
-  /// with the same tier-escalation behavior; results are identical to
-  /// ExecuteBatch over the same queries.
-  Result<std::vector<QueryResult>> Execute(StagedChunk chunk);
 
   /// Everything profile() / merge_seconds() / device_profiles() /
   /// multi_load() / num_parts() / num_devices() report, read under a
@@ -207,11 +149,11 @@ class EngineBackend {
   /// Devices batches execute on (1 unless the multi-device tier is active).
   uint32_t num_devices() const;
 
-  /// The plan the live tier executes (planned == false when the legacy
-  /// path or an escalation set it up).
+  /// The plan the live tier executes (planned == false when an escalation
+  /// set it up).
   plan::ExecutionPlan execution_plan() const;
   /// Stats of the executed index: persisted (bundle) or computed at
-  /// create/swap time. Empty default when the planner is disabled.
+  /// create/swap time.
   plan::IndexStats index_stats() const;
   /// Copy of the calibrated cost model (tests / diagnostics: overflow
   /// counts, per-selector rates).
@@ -237,11 +179,12 @@ class EngineBackend {
 
   /// The index the backend currently executes against — the creation-time
   /// index until a SwapIndex, the freshest swapped-in one after. The
-  /// returned reference stays valid for the backend's lifetime (retired
-  /// indexes are kept alive until the backend dies).
-  const InvertedIndex& index() const {
+  /// returned reference keeps it alive across a concurrent swap; a swapped
+  /// out index is freed once its last holder lets go. The creation-time
+  /// index stays caller-owned (its reference does not extend its life).
+  std::shared_ptr<const InvertedIndex> index() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return *index_;
+    return index_;
   }
   const MatchEngineOptions& options() const { return options_; }
 
@@ -258,9 +201,8 @@ class EngineBackend {
   /// alter answers — delta inserts/removes (the MutationController bumps on
   /// each) and the compaction hot-swap commit (SwapIndex bumps itself). The
   /// serving layer's ResultCache keys entries on this value, so any bump
-  /// invalidates every cached answer. Distinct from the internal staging
-  /// generation, which tracks tier rebuilds (a tier switch does not change
-  /// answers and must not evict the cache).
+  /// invalidates every cached answer. Tier rebuilds do not bump it (a tier
+  /// switch does not change answers and must not evict the cache).
   uint64_t data_generation() const {
     return data_generation_.load(std::memory_order_acquire);
   }
@@ -270,9 +212,9 @@ class EngineBackend {
 
   /// Hot-swaps the executed index for `index` (compaction commit): the
   /// live tier is rebuilt over the new index under the backend mutex and
-  /// the generation is bumped, so staged chunks prepared against the old
-  /// index are discarded and re-executed — in-flight streams never pause
-  /// and never see a torn index. `on_committed` (may be empty) runs under
+  /// the data generation is bumped — in-flight streams never pause and
+  /// never see a torn index. The replaced index is released once the swap
+  /// commits (readers holding index() keep it alive until they drop it). `on_committed` (may be empty) runs under
   /// the same mutex hold immediately after the successful swap; the
   /// compactor uses it to prune the delta store atomically with the swap,
   /// so no execution can pair the new index with the unpruned delta (a
@@ -290,15 +232,12 @@ class EngineBackend {
 
   /// The creation-time tier selection, re-runnable: also used to rebuild
   /// the tier over a swapped-in index or with a grown tombstone slack.
-  /// With use_planner it plans first and applies the plan (escalating
-  /// through re-plans on a memory miss, feeding the cost model); without,
-  /// it runs the legacy hard-coded selection. Builds the replacement fully
-  /// before retiring, so a failure leaves the previous engines live.
+  /// Plans and applies the plan, re-planning on a memory miss (each miss
+  /// feeds the cost model); when three plans in a row miss it falls back
+  /// to multiple loading at max(EstimateParts(), force_parts), or returns
+  /// the miss when multiple loading is not allowed. Builds the replacement
+  /// fully before retiring, so a failure leaves the previous engines live.
   Status SetUpTierLocked();
-  /// The legacy decision path (multi-device when N > 1, forced multi-load,
-  /// or single load with the ResourceExhausted fallback) — also the
-  /// planner's last-resort safety net.
-  Status SetUpTierLegacyLocked();
   /// Recomputes stats_ when they no longer describe index_ (index swap) —
   /// persisted bundle stats survive until the first swap.
   void RefreshStatsLocked();
@@ -329,8 +268,7 @@ class EngineBackend {
                          std::vector<QueryResult>* results);
 
   /// Builds (or rebuilds) the remote tier: shards the index across the
-  /// configured endpoints (volume-balanced when the planner owns stats)
-  /// and pushes each shard to its workers. Skipped — only the options are
+  /// configured endpoints (volume-balanced) and pushes each shard to its workers. Skipped — only the options are
   /// refreshed — when the live RemoteEngine already serves this index, so
   /// k growth does not re-push shards over the wire.
   Status SetUpRemote();
@@ -345,9 +283,9 @@ class EngineBackend {
   Status SetUpMultiDevice(uint32_t parts,
                           std::span<const ObjectId> boundaries = {},
                           std::span<const uint32_t> placement = {});
-  /// The sharding the escalation safety net uses: volume-balanced when the
-  /// planner owns decisions (so escalated parts match what a re-plan would
-  /// cut), uniform on the legacy path.
+  /// The sharding the escalation path uses: volume-balanced (so escalated
+  /// parts match what a re-plan would cut), uniform object ranges only
+  /// when the stats do not describe the index.
   Result<ShardedIndex> ShardLocked(uint32_t parts,
                                    std::span<const ObjectId> boundaries);
   /// Folds the live engine's stage costs into carried_profile_ and retires
@@ -358,23 +296,23 @@ class EngineBackend {
 
   uint32_t NumPartsLocked() const;
   ProfileSnapshot SnapshotLocked() const;
-  /// The unpipelined execution path (the body of ExecuteBatch); mu_ held.
+  /// Runs the batch on the live tier, escalating on every miss until it
+  /// succeeds or escalation is exhausted; mu_ held.
   Result<std::vector<QueryResult>> ExecuteBatchLocked(
       std::span<const Query> queries);
-  /// The staged-chunk execution path (the body of Execute); mu_ held.
-  Result<std::vector<QueryResult>> ExecuteStagedLocked(StagedChunk chunk);
-  /// The multi-load execute + part-escalation loop; mu_ held and multi_
-  /// live.
-  Result<std::vector<QueryResult>> MultiLoadLoopLocked(
-      std::span<const Query> queries);
+  /// The one escalation step after a batch missed with ResourceExhausted
+  /// (`miss`): a c-PQ overflow re-plans onto the overflow-immune selector;
+  /// otherwise — or when the re-plan kept kCpq — a resident tier moves to
+  /// multiple loading at the estimated part count and the multi-load tier
+  /// doubles its parts. OK = retry the batch on the new tier; any other
+  /// status is the batch's answer (`miss` itself once escalation is
+  /// exhausted or not allowed). mu_ held.
+  Status EscalateLocked(const Status& miss);
 
-  const InvertedIndex* index_;
-  /// Ownership of a swapped-in index (null until the first SwapIndex); the
-  /// creation-time index stays caller-owned. Retired generations are kept
-  /// until the backend dies: a concurrent Prepare (or a not-yet-executed
-  /// staged chunk) may still read them through its engine snapshot.
-  std::shared_ptr<const InvertedIndex> owned_index_;
-  std::vector<std::shared_ptr<const InvertedIndex>> retired_indexes_;
+  /// The executed index. The creation-time index is caller-owned and held
+  /// through a no-op deleter; a swapped-in one is owned, so dropping the
+  /// last reference frees it.
+  std::shared_ptr<const InvertedIndex> index_;
   MatchEngineOptions options_;
   EngineBackendOptions backend_options_;
   /// The caller-visible k; options_.k = base_k_ + tombstone slack.
@@ -391,31 +329,25 @@ class EngineBackend {
   /// Serializes batches, tier escalation, and profile snapshots.
   mutable std::mutex mu_;
 
-  /// Bumped on every tier switch / part escalation; staged chunks carry the
-  /// generation they were prepared under and are discarded on mismatch.
-  uint64_t generation_ = 0;
-
   /// See data_generation(). Atomic so the serving layer reads it without
   /// taking mu_ (it is checked on every cache lookup).
   std::atomic<uint64_t> data_generation_{0};
 
-  /// Engines and the sharded index they read are shared so a concurrent
-  /// Prepare's snapshot keeps a retiring generation alive for the duration
-  /// of its staging calls; the backend's own references are dropped at
-  /// escalation as before, and finished StagedChunks hold no engine
-  /// references at all.
-  std::shared_ptr<MatchEngine> single_;
-  std::shared_ptr<const ShardedIndex> sharded_;
-  std::shared_ptr<MultiLoadEngine> multi_;
+  /// The live tier's engines (at most one of single_ / multi_ /
+  /// multi_device_ / remote_ is set) and the sharded index the multi-part
+  /// engines read.
+  std::unique_ptr<MatchEngine> single_;
+  std::unique_ptr<const ShardedIndex> sharded_;
+  std::unique_ptr<MultiLoadEngine> multi_;
   /// Multi-device tier: the device registry (owned unless the caller passed
   /// one in) and the resident sharded engine.
   std::unique_ptr<sim::DeviceSet> owned_devices_;
   sim::DeviceSet* devices_ = nullptr;
-  std::shared_ptr<MultiDeviceEngine> multi_device_;
+  std::unique_ptr<MultiDeviceEngine> multi_device_;
   /// Multi-node tier (exclusive with the three local tiers) and the index
   /// its workers currently hold, so a rebuild that does not change the
   /// index skips the shard re-push.
-  std::shared_ptr<RemoteEngine> remote_;
+  std::unique_ptr<RemoteEngine> remote_;
   const InvertedIndex* remote_index_ = nullptr;
   /// Accumulated profile of retired RemoteEngines (index swaps).
   RemoteProfile carried_remote_;

@@ -82,6 +82,123 @@ Status BucketSelectAndFinalize(sim::Device* device, uint32_t num_queries,
   return Status::OK();
 }
 
+/// Every query item resolved through the Position Map into the flattened
+/// block work list. Task t owns ranges [range_offsets[t],
+/// range_offsets[t+1]) of the (begin, end) arrays and contributes to query
+/// task_query[t].
+struct MatchTaskList {
+  std::vector<uint32_t> task_query;
+  std::vector<uint32_t> range_offsets;  // task count + 1
+  std::vector<uint32_t> range_begin;
+  std::vector<uint32_t> range_end;
+  /// The per-batch count bound (options.max_count, or derived from the
+  /// batch when that is 0).
+  uint32_t max_count = 0;
+  /// True when every query maps to at most one task (the unsplit default
+  /// schedule). Each query's counter arena then has exactly one writer
+  /// block, so the match kernels may use the non-atomic (exclusive) SIMD
+  /// arms. Load-balance splitting (max_lists_per_block > 0) clears it.
+  bool single_writer = false;
+
+  uint32_t num_tasks() const {
+    return static_cast<uint32_t>(task_query.size());
+  }
+  uint64_t SizeBytes() const {
+    return (task_query.size() + range_offsets.size() + range_begin.size() +
+            range_end.size()) *
+           sizeof(uint32_t);
+  }
+};
+
+MatchTaskList ResolveTasks(const InvertedIndex& index,
+                           std::span<const Query> queries,
+                           const MatchEngineOptions& options) {
+  MatchTaskList tasks;
+  tasks.max_count = options.max_count > 0
+                        ? options.max_count
+                        : MatchEngine::DeriveMaxCount(queries);
+  tasks.range_offsets.push_back(0);
+  // Unsplit default: ONE task per query, covering every item's lists. That
+  // makes the query's counter arena single-writer (a block's threads run on
+  // one worker), so the kernels can take the non-atomic SIMD arms — match
+  // counts are sums over the same posting multiset regardless of task
+  // grouping. Load balancing (max_lists_per_block > 0, paper Fig. 12)
+  // splits an item's lists across blocks and keeps the atomic arms.
+  tasks.single_writer = options.max_lists_per_block == 0;
+  const auto postings = index.postings();
+  std::vector<InvertedIndex::ListRef> item_lists;
+  const auto sort_by_first_posting = [&](std::vector<InvertedIndex::ListRef>&
+                                             lists) {
+    // Cache-block the match traversal: order the lists a block scans
+    // back-to-back by their first posting's object id, so consecutive
+    // lists touch neighbouring counter words and the per-query counter
+    // working set stays cache-resident. Deterministic (stable,
+    // value-keyed), so every dispatch arm sees the identical traversal.
+    std::stable_sort(lists.begin(), lists.end(),
+                     [&](const InvertedIndex::ListRef& a,
+                         const InvertedIndex::ListRef& b) {
+                       return postings[a.begin] < postings[b.begin];
+                     });
+  };
+  const auto emit_task = [&](uint32_t q,
+                             std::span<const InvertedIndex::ListRef> lists) {
+    tasks.task_query.push_back(q);
+    for (const auto& ref : lists) {
+      tasks.range_begin.push_back(ref.begin);
+      tasks.range_end.push_back(ref.end);
+    }
+    tasks.range_offsets.push_back(
+        static_cast<uint32_t>(tasks.range_begin.size()));
+  };
+  for (uint32_t q = 0; q < queries.size(); ++q) {
+    const Query& query = queries[q];
+    if (tasks.single_writer) {
+      item_lists.clear();
+      for (uint32_t i = 0; i < query.num_items(); ++i) {
+        for (Keyword kw : query.item(i)) {
+          auto [first, count] = index.KeywordLists(kw);
+          for (uint32_t l = 0; l < count; ++l) {
+            const auto ref = index.List(first + l);
+            if (ref.length() > 0) item_lists.push_back(ref);
+          }
+        }
+      }
+      if (item_lists.empty()) continue;
+      sort_by_first_posting(item_lists);
+      emit_task(q, item_lists);
+      continue;
+    }
+    for (uint32_t i = 0; i < query.num_items(); ++i) {
+      item_lists.clear();
+      for (Keyword kw : query.item(i)) {
+        auto [first, count] = index.KeywordLists(kw);
+        for (uint32_t l = 0; l < count; ++l) {
+          const auto ref = index.List(first + l);
+          if (ref.length() > 0) item_lists.push_back(ref);
+        }
+      }
+      if (item_lists.empty()) continue;
+      sort_by_first_posting(item_lists);
+      const uint32_t chunk = options.max_lists_per_block;
+      for (size_t pos = 0; pos < item_lists.size(); pos += chunk) {
+        const size_t end = std::min(pos + chunk, item_lists.size());
+        emit_task(q, std::span<const InvertedIndex::ListRef>(
+                         item_lists.data() + pos, end - pos));
+      }
+    }
+  }
+  return tasks;
+}
+
+Result<sim::DeviceBuffer<uint32_t>> Upload(sim::Device* device,
+                                           const std::vector<uint32_t>& host) {
+  GENIE_ASSIGN_OR_RETURN(sim::DeviceBuffer<uint32_t> buffer,
+                         sim::DeviceBuffer<uint32_t>::Allocate(device,
+                                                               host.size()));
+  GENIE_RETURN_NOT_OK(buffer.CopyFromHost(host));
+  return buffer;
+}
+
 }  // namespace
 }  // namespace genie
 
@@ -92,7 +209,6 @@ void MatchProfile::Accumulate(const MatchProfile& other) {
   query_transfer_s += other.query_transfer_s;
   match_s += other.match_s;
   select_s += other.select_s;
-  prepare_s += other.prepare_s;
   index_bytes += other.index_bytes;
   query_bytes += other.query_bytes;
   result_bytes += other.result_bytes;
@@ -108,7 +224,6 @@ void MatchProfile::Subtract(const MatchProfile& earlier) {
   query_transfer_s -= earlier.query_transfer_s;
   match_s -= earlier.match_s;
   select_s -= earlier.select_s;
-  prepare_s -= earlier.prepare_s;
   index_bytes -= earlier.index_bytes;
   query_bytes -= earlier.query_bytes;
   result_bytes -= earlier.result_bytes;
@@ -188,167 +303,42 @@ bool MatchEngine::IsCpqOverflow(const Status& status) {
          status.message() == kCpqOverflowMessage;
 }
 
-MatchTaskList MatchEngine::ResolveTasks(const InvertedIndex& index,
-                                        std::span<const Query> queries,
-                                        const MatchEngineOptions& options) {
-  MatchTaskList tasks;
-  ScopedTimer timer(&tasks.build_s);
-  tasks.num_queries = static_cast<uint32_t>(queries.size());
-  tasks.max_count =
-      options.max_count > 0 ? options.max_count : DeriveMaxCount(queries);
-  tasks.range_offsets.push_back(0);
-  // Unsplit default: ONE task per query, covering every item's lists. That
-  // makes the query's counter arena single-writer (a block's threads run on
-  // one worker), so the kernels can take the non-atomic SIMD arms — match
-  // counts are sums over the same posting multiset regardless of task
-  // grouping. Load balancing (max_lists_per_block > 0, paper Fig. 12)
-  // splits an item's lists across blocks and keeps the atomic arms.
-  tasks.single_writer = options.max_lists_per_block == 0;
-  const auto postings = index.postings();
-  std::vector<InvertedIndex::ListRef> item_lists;
-  const auto sort_by_first_posting = [&](std::vector<InvertedIndex::ListRef>&
-                                             lists) {
-    // Cache-block the match traversal: order the lists a block scans
-    // back-to-back by their first posting's object id, so consecutive
-    // lists touch neighbouring counter words and the per-query counter
-    // working set stays cache-resident. Deterministic (stable,
-    // value-keyed), so every dispatch arm sees the identical traversal.
-    std::stable_sort(lists.begin(), lists.end(),
-                     [&](const InvertedIndex::ListRef& a,
-                         const InvertedIndex::ListRef& b) {
-                       return postings[a.begin] < postings[b.begin];
-                     });
-  };
-  const auto emit_task = [&](uint32_t q,
-                             std::span<const InvertedIndex::ListRef> lists) {
-    tasks.task_query.push_back(q);
-    for (const auto& ref : lists) {
-      tasks.range_begin.push_back(ref.begin);
-      tasks.range_end.push_back(ref.end);
-    }
-    tasks.range_offsets.push_back(
-        static_cast<uint32_t>(tasks.range_begin.size()));
-  };
-  for (uint32_t q = 0; q < queries.size(); ++q) {
-    const Query& query = queries[q];
-    if (tasks.single_writer) {
-      item_lists.clear();
-      for (uint32_t i = 0; i < query.num_items(); ++i) {
-        for (Keyword kw : query.item(i)) {
-          auto [first, count] = index.KeywordLists(kw);
-          for (uint32_t l = 0; l < count; ++l) {
-            const auto ref = index.List(first + l);
-            if (ref.length() > 0) item_lists.push_back(ref);
-          }
-        }
-      }
-      if (item_lists.empty()) continue;
-      sort_by_first_posting(item_lists);
-      emit_task(q, item_lists);
-      continue;
-    }
-    for (uint32_t i = 0; i < query.num_items(); ++i) {
-      item_lists.clear();
-      for (Keyword kw : query.item(i)) {
-        auto [first, count] = index.KeywordLists(kw);
-        for (uint32_t l = 0; l < count; ++l) {
-          const auto ref = index.List(first + l);
-          if (ref.length() > 0) item_lists.push_back(ref);
-        }
-      }
-      if (item_lists.empty()) continue;
-      sort_by_first_posting(item_lists);
-      const uint32_t chunk = options.max_lists_per_block;
-      for (size_t pos = 0; pos < item_lists.size(); pos += chunk) {
-        const size_t end = std::min(pos + chunk, item_lists.size());
-        emit_task(q, std::span<const InvertedIndex::ListRef>(
-                         item_lists.data() + pos, end - pos));
-      }
-    }
-  }
-  return tasks;
-}
-
-Result<MatchEngine::StagedBatch> MatchEngine::Stage(
-    const MatchTaskList& tasks) {
-  if (tasks.num_queries == 0) {
-    return Status::InvalidArgument("empty query batch");
-  }
-  StagedBatch staged;
-  staged.prepare_s = tasks.build_s;
-  {
-    ScopedTimer timer(&staged.prepare_s);
-    staged.num_queries = tasks.num_queries;
-    staged.max_count = tasks.max_count;
-    staged.num_tasks = tasks.num_tasks();
-    staged.single_writer = tasks.single_writer;
-    staged.query_bytes = tasks.SizeBytes();
-    GENIE_ASSIGN_OR_RETURN(staged.task_query,
-                           sim::DeviceBuffer<uint32_t>::Allocate(
-                               device_, tasks.task_query.size()));
-    GENIE_RETURN_NOT_OK(staged.task_query.CopyFromHost(tasks.task_query));
-    GENIE_ASSIGN_OR_RETURN(staged.range_offsets,
-                           sim::DeviceBuffer<uint32_t>::Allocate(
-                               device_, tasks.range_offsets.size()));
-    GENIE_RETURN_NOT_OK(
-        staged.range_offsets.CopyFromHost(tasks.range_offsets));
-    GENIE_ASSIGN_OR_RETURN(staged.range_begin,
-                           sim::DeviceBuffer<uint32_t>::Allocate(
-                               device_, tasks.range_begin.size()));
-    GENIE_RETURN_NOT_OK(staged.range_begin.CopyFromHost(tasks.range_begin));
-    GENIE_ASSIGN_OR_RETURN(staged.range_end,
-                           sim::DeviceBuffer<uint32_t>::Allocate(
-                               device_, tasks.range_end.size()));
-    GENIE_RETURN_NOT_OK(staged.range_end.CopyFromHost(tasks.range_end));
-    staged.lease = sim::StagingLease(device_, staged.query_bytes);
-  }
-  return staged;
-}
-
-Result<MatchEngine::StagedBatch> MatchEngine::Prepare(
+Result<std::vector<QueryResult>> MatchEngine::ExecuteBatch(
     std::span<const Query> queries) {
   if (queries.empty()) {
     return Status::InvalidArgument("empty query batch");
   }
-  return Stage(ResolveTasks(*index_, queries, options_));
-}
-
-Result<std::vector<QueryResult>> MatchEngine::ExecuteBatch(
-    std::span<const Query> queries) {
-  GENIE_ASSIGN_OR_RETURN(StagedBatch staged, Prepare(queries));
-  return ExecuteStaged(std::move(staged));
-}
-
-Result<std::vector<QueryResult>> MatchEngine::ExecuteStaged(
-    StagedBatch staged) {
-  if (staged.num_queries == 0) {
-    return Status::InvalidArgument("empty query batch");
-  }
   if (options_.k == 0) return Status::InvalidArgument("k must be >= 1");
-  const uint32_t num_queries = staged.num_queries;
+  const uint32_t num_queries = static_cast<uint32_t>(queries.size());
   std::vector<QueryResult> results(num_queries);
-
   const uint32_t n = index_->num_objects();
-  const uint32_t max_count = staged.max_count;
 
-  // The staged prepare costs are folded in here — not at Prepare time — so
-  // a look-ahead Prepare never races the profile of an executing batch, and
-  // a cancelled (never-executed) staged chunk leaves no trace.
-  profile_.query_transfer_s += staged.prepare_s;
-  profile_.prepare_s += staged.prepare_s;
-  profile_.query_bytes += staged.query_bytes;
-
-  // The chunk is now executing, not staged: drop the staging classification
-  // (the buffers themselves stay allocated until this batch completes), so
-  // Device::staging_bytes() counts only the look-ahead chunk.
-  staged.lease = sim::StagingLease();
+  // --- Stage: query transfer (Position-Map resolution on the host, then
+  // the task lists shipped to the device). --------------------------------
+  uint32_t max_count = 0;
+  uint32_t num_tasks = 0;
+  bool single_writer = false;
+  sim::DeviceBuffer<uint32_t> d_task_query, d_range_offsets, d_range_begin,
+      d_range_end;
+  {
+    ScopedTimer timer(&profile_.query_transfer_s);
+    const MatchTaskList tasks = ResolveTasks(*index_, queries, options_);
+    max_count = tasks.max_count;
+    num_tasks = tasks.num_tasks();
+    single_writer = tasks.single_writer;
+    GENIE_ASSIGN_OR_RETURN(d_task_query, Upload(device_, tasks.task_query));
+    GENIE_ASSIGN_OR_RETURN(d_range_offsets,
+                           Upload(device_, tasks.range_offsets));
+    GENIE_ASSIGN_OR_RETURN(d_range_begin, Upload(device_, tasks.range_begin));
+    GENIE_ASSIGN_OR_RETURN(d_range_end, Upload(device_, tasks.range_end));
+    profile_.query_bytes += tasks.SizeBytes();
+  }
 
   const ObjectId* postings = device_postings_.data();
-  const uint32_t* task_query = staged.task_query.data();
-  const uint32_t* range_offsets = staged.range_offsets.data();
-  const uint32_t* range_begin = staged.range_begin.data();
-  const uint32_t* range_end = staged.range_end.data();
-  const uint32_t num_tasks = staged.num_tasks;
+  const uint32_t* task_query = d_task_query.data();
+  const uint32_t* range_offsets = d_range_offsets.data();
+  const uint32_t* range_begin = d_range_begin.data();
+  const uint32_t* range_end = d_range_end.data();
   const uint32_t block_dim = options_.block_dim;
   std::atomic<bool> overflow{false};
   HashTableStats* stats =
@@ -401,7 +391,7 @@ Result<std::vector<QueryResult>> MatchEngine::ExecuteStaged(
     // --- Stage: match (scan postings lists, Algorithm 1 per posting,
     // batched through the runtime-dispatched SIMD counter kernels). -------
     const simd::Ops& ops = simd::ActiveOps();
-    const bool exclusive = staged.single_writer;
+    const bool exclusive = single_writer;
     {
       ScopedTimer timer(&profile_.match_s);
       GENIE_RETURN_NOT_OK(device_->Launch(
@@ -535,7 +525,7 @@ Result<std::vector<QueryResult>> MatchEngine::ExecuteStaged(
     const uint32_t bits = BitmapCounterView::ChooseBits(max_count);
     const uint64_t bitmap_words = BitmapCounterView::WordsRequired(n, bits);
     const simd::Ops& ops = simd::ActiveOps();
-    const auto bitmap_increment = staged.single_writer
+    const auto bitmap_increment = single_writer
                                       ? ops.bitmap_increment_batch_exclusive
                                       : ops.bitmap_increment_batch;
     sim::DeviceBuffer<uint32_t> d_bitmap;
@@ -593,7 +583,7 @@ Result<std::vector<QueryResult>> MatchEngine::ExecuteStaged(
                                             num_queries));
     uint32_t* counts_base = d_counts.data();
     const simd::Ops& ops = simd::ActiveOps();
-    const auto count_increment = staged.single_writer
+    const auto count_increment = single_writer
                                      ? ops.count_increment_batch_exclusive
                                      : ops.count_increment_batch;
     GENIE_RETURN_NOT_OK(device_->Launch(

@@ -77,11 +77,6 @@ struct MatchProfile {
   double query_transfer_s = 0;
   double match_s = 0;
   double select_s = 0;
-  /// Seconds spent in the prepare stage (Position-Map resolution + task
-  /// staging). These seconds are also counted in query_transfer_s — the
-  /// prepare stage IS the query-transfer work, split out so the streaming
-  /// pipeline can report how much of it was overlappable.
-  double prepare_s = 0;
   uint64_t index_bytes = 0;
   uint64_t query_bytes = 0;
   uint64_t result_bytes = 0;
@@ -92,39 +87,6 @@ struct MatchProfile {
   /// Inverse of Accumulate: removes an earlier snapshot, leaving the costs
   /// incurred since it was taken (per-batch / per-Search deltas).
   void Subtract(const MatchProfile& earlier);
-};
-
-/// Host half of the prepare stage: every query item resolved through the
-/// Position Map into the flattened block work list. Task t owns ranges
-/// [range_offsets[t], range_offsets[t+1]) of the (begin, end) arrays and
-/// contributes to query task_query[t]. Building one is pure host work
-/// (no device memory), so the multi-load tier can prepare the next chunk's
-/// task lists while the device is busy.
-struct MatchTaskList {
-  std::vector<uint32_t> task_query;
-  std::vector<uint32_t> range_offsets;  // task count + 1
-  std::vector<uint32_t> range_begin;
-  std::vector<uint32_t> range_end;
-  uint32_t num_queries = 0;
-  /// The per-batch count bound (options.max_count, or derived from the
-  /// batch when that is 0).
-  uint32_t max_count = 0;
-  /// True when every query maps to at most one task (the unsplit default
-  /// schedule). Each query's counter arena then has exactly one writer
-  /// block, so the match kernels may use the non-atomic (exclusive) SIMD
-  /// arms. Load-balance splitting (max_lists_per_block > 0) clears it.
-  bool single_writer = false;
-  /// Host-side resolution seconds (folded into the profile at execute).
-  double build_s = 0;
-
-  uint32_t num_tasks() const {
-    return static_cast<uint32_t>(task_query.size());
-  }
-  uint64_t SizeBytes() const {
-    return (task_query.size() + range_offsets.size() + range_begin.size() +
-            range_end.size()) *
-           sizeof(uint32_t);
-  }
 };
 
 /// Executes batches of match-count queries against one inverted index that
@@ -139,53 +101,11 @@ class MatchEngine {
       const InvertedIndex* index, const MatchEngineOptions& options);
 
   /// Runs one batch; returns one result per query, each with up to k
-  /// entries in descending match-count order. Equivalent to
-  /// ExecuteStaged(Prepare(queries)).
+  /// entries in descending match-count order. Query transfer (Position-Map
+  /// resolution of every item into its postings ranges + the task-list
+  /// upload), match and select all run inside the call.
   Result<std::vector<QueryResult>> ExecuteBatch(
       std::span<const Query> queries);
-
-  /// Device half of the prepare stage: one batch's task list uploaded to
-  /// this engine's device, plus everything ExecuteStaged needs to run
-  /// without re-reading the queries. Holds device memory (tagged as
-  /// staging via sim::StagingLease) until executed or destroyed. Its
-  /// prepare costs ride along and are folded into the engine profile only
-  /// when the batch executes, so a concurrent Prepare never races the
-  /// profile of an executing batch.
-  struct StagedBatch {
-    uint32_t num_queries = 0;
-    uint32_t max_count = 0;
-    uint32_t num_tasks = 0;
-    bool single_writer = false;
-    sim::DeviceBuffer<uint32_t> task_query;
-    sim::DeviceBuffer<uint32_t> range_offsets;
-    sim::DeviceBuffer<uint32_t> range_begin;
-    sim::DeviceBuffer<uint32_t> range_end;
-    sim::StagingLease lease;
-    uint64_t query_bytes = 0;
-    double prepare_s = 0;
-  };
-
-  /// Host resolution only (shared with MultiLoadEngine's look-ahead, which
-  /// resolves against parts whose engines do not exist yet).
-  static MatchTaskList ResolveTasks(const InvertedIndex& index,
-                                    std::span<const Query> queries,
-                                    const MatchEngineOptions& options);
-
-  /// Uploads a resolved task list to the device. Thread-safe against a
-  /// concurrent ExecuteStaged/ExecuteBatch on this engine: it only reads
-  /// immutable engine state and allocates fresh device buffers. Fails with
-  /// ResourceExhausted when the staging buffers do not fit beside the
-  /// resident index (the caller's cue to fall back to unpipelined
-  /// execution).
-  Result<StagedBatch> Stage(const MatchTaskList& tasks);
-
-  /// ResolveTasks + Stage.
-  Result<StagedBatch> Prepare(std::span<const Query> queries);
-
-  /// Runs the match + select stages of a staged batch, consuming it (the
-  /// staging memory is released when execution returns, exactly as the
-  /// task buffers of an unpipelined ExecuteBatch are).
-  Result<std::vector<QueryResult>> ExecuteStaged(StagedBatch staged);
 
   const MatchProfile& profile() const { return profile_; }
   void ResetProfile() { profile_ = MatchProfile{}; }

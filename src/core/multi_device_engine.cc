@@ -73,49 +73,7 @@ Result<std::vector<QueryResult>> MultiDeviceEngine::ExecuteBatch(
   if (queries.empty()) {
     return Status::InvalidArgument("empty query batch");
   }
-  GENIE_ASSIGN_OR_RETURN(StagedBatch staged, Prepare(queries));
-  return ExecuteStaged(std::move(staged));
-}
-
-Result<MultiDeviceEngine::StagedBatch> MultiDeviceEngine::Prepare(
-    std::span<const Query> queries) {
-  if (queries.empty()) {
-    return Status::InvalidArgument("empty query batch");
-  }
-  const size_t num_devices = device_parts_.size();
-  StagedBatch staged;
-  staged.num_queries = static_cast<uint32_t>(queries.size());
-  staged.per_device.resize(num_devices);
-  // Stage per device in parallel: each device's resolution + upload is
-  // independent, exactly like its execution.
-  std::vector<Status> device_status(num_devices, Status::OK());
-  DefaultThreadPool()->ParallelFor(num_devices, [&](size_t d) {
-    staged.per_device[d].reserve(device_parts_[d].size());
-    for (ResidentPart& part : device_parts_[d]) {
-      auto part_staged = part.engine->Prepare(queries);
-      if (!part_staged.ok()) {
-        device_status[d] = part_staged.status();
-        return;
-      }
-      staged.per_device[d].push_back(std::move(part_staged).ValueOrDie());
-    }
-  });
-  for (const Status& status : device_status) {
-    GENIE_RETURN_NOT_OK(status);
-  }
-  return staged;
-}
-
-Result<std::vector<QueryResult>> MultiDeviceEngine::ExecuteStaged(
-    StagedBatch staged) {
-  if (staged.num_queries == 0) {
-    return Status::InvalidArgument("empty query batch");
-  }
-  if (staged.per_device.size() != device_parts_.size()) {
-    return Status::InvalidArgument(
-        "staged batch does not match this engine's device count");
-  }
-  const size_t num_queries = staged.num_queries;
+  const size_t num_queries = queries.size();
   const size_t num_devices = device_parts_.size();
 
   // Per-device candidate pools (ids mapped to global before pooling), built
@@ -125,15 +83,8 @@ Result<std::vector<QueryResult>> MultiDeviceEngine::ExecuteStaged(
       num_devices, std::vector<std::vector<TopKEntry>>(num_queries));
   std::vector<Status> device_status(num_devices, Status::OK());
   DefaultThreadPool()->ParallelFor(num_devices, [&](size_t d) {
-    if (staged.per_device[d].size() != device_parts_[d].size()) {
-      device_status[d] = Status::InvalidArgument(
-          "staged batch does not match this device's part count");
-      return;
-    }
-    for (size_t p = 0; p < device_parts_[d].size(); ++p) {
-      ResidentPart& part = device_parts_[d][p];
-      auto part_results =
-          part.engine->ExecuteStaged(std::move(staged.per_device[d][p]));
+    for (ResidentPart& part : device_parts_[d]) {
+      auto part_results = part.engine->ExecuteBatch(queries);
       if (!part_results.ok()) {
         device_status[d] = part_results.status();
         return;

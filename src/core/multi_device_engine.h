@@ -58,25 +58,6 @@ class MultiDeviceEngine {
   Result<std::vector<QueryResult>> ExecuteBatch(
       std::span<const Query> queries);
 
-  /// Per-device staging of one batch: every resident part's task list
-  /// resolved and uploaded to its device (tagged as staging memory there).
-  /// parts[d] parallels the engine's device-d part list.
-  struct StagedBatch {
-    std::vector<std::vector<MatchEngine::StagedBatch>> per_device;
-    uint32_t num_queries = 0;
-  };
-
-  /// Stages the batch on all devices in parallel. Thread-safe against a
-  /// concurrent ExecuteBatch/ExecuteStaged on this engine (reads immutable
-  /// engine state; allocations are atomic). Fails with ResourceExhausted
-  /// when some device cannot hold the staging buffers beside its resident
-  /// parts and the in-flight chunk.
-  Result<StagedBatch> Prepare(std::span<const Query> queries);
-
-  /// Runs a staged batch; results are identical to ExecuteBatch(queries)
-  /// for the same batch.
-  Result<std::vector<QueryResult>> ExecuteStaged(StagedBatch staged);
-
   /// Snapshot of the accumulated stage costs (per-device and merge).
   MultiDeviceProfile profile() const;
 

@@ -81,69 +81,18 @@ Result<std::vector<QueryResult>> MultiLoadEngine::ExecuteBatch(
   }
   if (options_.k == 0) return Status::InvalidArgument("k must be >= 1");
   const size_t num_queries = queries.size();
+  // Per-query pool of candidates across parts; ids already global.
   std::vector<std::vector<TopKEntry>> pools(num_queries);
 
-  // Unlike ExecuteStaged (which consumes a look-ahead's pre-resolved task
-  // lists for every part), resolve each part's tasks at its swap-in so at
-  // most one part's task list is held at a time — this tier exists because
-  // memory is tight.
   for (const IndexPart& part : parts_) {
+    // Swap this part in: engine construction performs the index transfer
+    // and its destruction at scope end releases the device memory before
+    // the next part is loaded. Each part resolves its own task list at its
+    // swap-in, so at most one part's task list is held at a time.
     GENIE_ASSIGN_OR_RETURN(std::unique_ptr<MatchEngine> engine,
                            MatchEngine::Create(part.index, options_));
     GENIE_ASSIGN_OR_RETURN(std::vector<QueryResult> part_results,
                            engine->ExecuteBatch(queries));
-    const MatchProfile& p = engine->profile();
-    profile_.index_transfer_s += p.index_transfer_s;
-    profile_.per_part.Accumulate(p);
-    ScopedTimer merge_timer(&profile_.merge_s);
-    DefaultThreadPool()->ParallelFor(num_queries, [&](size_t q) {
-      for (const TopKEntry& e : part_results[q].entries) {
-        pools[q].push_back(TopKEntry{e.id + part.id_offset, e.count});
-      }
-    });
-  }
-
-  ScopedTimer merge_timer(&profile_.merge_s);
-  return MergeCandidatePools(std::move(pools), options_.k);
-}
-
-MultiLoadEngine::StagedBatch MultiLoadEngine::Prepare(
-    std::span<const Query> queries) const {
-  StagedBatch staged;
-  staged.num_queries = static_cast<uint32_t>(queries.size());
-  staged.per_part.reserve(parts_.size());
-  for (const IndexPart& part : parts_) {
-    staged.per_part.push_back(
-        MatchEngine::ResolveTasks(*part.index, queries, options_));
-  }
-  return staged;
-}
-
-Result<std::vector<QueryResult>> MultiLoadEngine::ExecuteStaged(
-    StagedBatch staged) {
-  if (staged.num_queries == 0) {
-    return Status::InvalidArgument("empty query batch");
-  }
-  if (options_.k == 0) return Status::InvalidArgument("k must be >= 1");
-  if (staged.per_part.size() != parts_.size()) {
-    return Status::InvalidArgument(
-        "staged batch does not match this engine's part count");
-  }
-  const size_t num_queries = staged.num_queries;
-  // Per-query pool of candidates across parts; ids already global.
-  std::vector<std::vector<TopKEntry>> pools(num_queries);
-
-  for (size_t p_idx = 0; p_idx < parts_.size(); ++p_idx) {
-    const IndexPart& part = parts_[p_idx];
-    // Swap this part in: engine construction performs the index transfer
-    // and its destruction at scope end releases the device memory before
-    // the next part is loaded.
-    GENIE_ASSIGN_OR_RETURN(std::unique_ptr<MatchEngine> engine,
-                           MatchEngine::Create(part.index, options_));
-    GENIE_ASSIGN_OR_RETURN(MatchEngine::StagedBatch part_staged,
-                           engine->Stage(staged.per_part[p_idx]));
-    GENIE_ASSIGN_OR_RETURN(std::vector<QueryResult> part_results,
-                           engine->ExecuteStaged(std::move(part_staged)));
     const MatchProfile& p = engine->profile();
     profile_.index_transfer_s += p.index_transfer_s;
     profile_.per_part.Accumulate(p);

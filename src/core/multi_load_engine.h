@@ -62,25 +62,6 @@ class MultiLoadEngine {
   Result<std::vector<QueryResult>> ExecuteBatch(
       std::span<const Query> queries);
 
-  /// Look-ahead prepare for the streaming pipeline: the batch's task lists
-  /// resolved against every part on the host. No device memory is touched —
-  /// the device can only hold one part plus working memory at a time (the
-  /// reason this tier exists) — so the overlappable work is the CPU half of
-  /// the prepare stage; each part's upload still happens at its swap-in.
-  struct StagedBatch {
-    std::vector<MatchTaskList> per_part;
-    uint32_t num_queries = 0;
-  };
-
-  /// Thread-safe against a concurrent ExecuteBatch/ExecuteStaged (reads
-  /// only the immutable parts).
-  StagedBatch Prepare(std::span<const Query> queries) const;
-
-  /// Runs a prepared batch: per part, swap in -> upload the pre-resolved
-  /// task list -> match -> select, then the shared host merge. Results are
-  /// identical to ExecuteBatch(queries) for the same batch.
-  Result<std::vector<QueryResult>> ExecuteStaged(StagedBatch staged);
-
   const MultiLoadProfile& profile() const { return profile_; }
   void ResetProfile() { profile_ = MultiLoadProfile{}; }
   size_t num_parts() const { return parts_.size(); }

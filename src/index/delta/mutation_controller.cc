@@ -118,7 +118,7 @@ void MutationController::WorkerLoop() {
 
 Status MutationController::CompactOnce() {
   DeltaSnapshot snap;
-  const InvertedIndex* main = nullptr;
+  std::shared_ptr<const InvertedIndex> main;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     // Seal first so the snapshot holds only sealed segments: Prune drops
@@ -128,8 +128,7 @@ Status MutationController::CompactOnce() {
     delta_.Seal();
     snap = delta_.snapshot();
     if (snap.empty()) return Status::OK();
-    // Only this thread swaps, so the pointer stays valid outside the lock.
-    main = &backend_->index();
+    main = backend_->index();
   }
 
   const auto build_start = std::chrono::steady_clock::now();

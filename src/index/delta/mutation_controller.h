@@ -4,8 +4,8 @@
 /// Orchestrates the mutable layer behind one engine: owns the DeltaStore,
 /// validates and applies Insert/Remove, and runs the background compaction
 /// thread that folds delta+main into a fresh immutable index and hot-swaps
-/// it behind the EngineBackend (generation-checked, so in-flight pipelined
-/// streams never pause — their stale staged chunks simply re-execute).
+/// it behind the EngineBackend (under the backend mutex, so in-flight
+/// streams never pause — their next batch runs on the new index).
 ///
 /// Lock hierarchy (never acquired in reverse): the controller's state
 /// mutex -> the backend's mutex -> the DeltaStore's internal mutex. The

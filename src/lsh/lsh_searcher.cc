@@ -64,14 +64,13 @@ Result<LshSearcher::PreparedBatch> LshSearcher::Prepare(
   for (uint32_t i = 0; i < queries.num_points(); ++i) {
     batch.compiled[i] = transformer_.MakeQuery(queries.row(i));
   }
-  GENIE_ASSIGN_OR_RETURN(batch.staged, engine_->Prepare(batch.compiled));
   return batch;
 }
 
 Result<std::vector<std::vector<AnnMatch>>> LshSearcher::ExecutePrepared(
     PreparedBatch batch) {
   GENIE_ASSIGN_OR_RETURN(std::vector<QueryResult> raw,
-                         engine_->Execute(std::move(batch.staged)));
+                         engine_->ExecuteBatch(batch.compiled));
   const double m = transformer_.family().num_functions();
   std::vector<std::vector<AnnMatch>> results(raw.size());
   for (size_t q = 0; q < raw.size(); ++q) {

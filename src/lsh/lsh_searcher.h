@@ -66,13 +66,12 @@ class LshSearcher {
       const data::PointMatrix& queries);
 
   /// Two-phase MatchBatch for the streaming pipeline: Prepare runs the
-  /// query transform (LSH hashing + re-hashing) and stages the compiled
-  /// batch through the backend; ExecutePrepared answers it. Prepare is
-  /// safe to run concurrently with an ExecutePrepared on this searcher —
-  /// that concurrency is the pipeline's point.
+  /// query transform (LSH hashing + re-hashing) on the host;
+  /// ExecutePrepared answers the compiled batch through the backend.
+  /// Prepare is safe to run concurrently with an ExecutePrepared on this
+  /// searcher — that concurrency is the pipeline's point.
   struct PreparedBatch {
     std::vector<Query> compiled;
-    EngineBackend::StagedChunk staged;
   };
   Result<PreparedBatch> Prepare(const data::PointMatrix& queries);
   Result<std::vector<std::vector<AnnMatch>>> ExecutePrepared(

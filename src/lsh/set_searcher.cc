@@ -115,14 +115,13 @@ Result<SetLshSearcher::PreparedBatch> SetLshSearcher::Prepare(
   for (size_t i = 0; i < queries.size(); ++i) {
     for (Keyword kw : Transform(queries[i])) batch.compiled[i].AddItem(kw);
   }
-  GENIE_ASSIGN_OR_RETURN(batch.staged, engine_->Prepare(batch.compiled));
   return batch;
 }
 
 Result<std::vector<std::vector<AnnMatch>>> SetLshSearcher::ExecutePrepared(
     PreparedBatch batch) {
   GENIE_ASSIGN_OR_RETURN(std::vector<QueryResult> raw,
-                         engine_->Execute(std::move(batch.staged)));
+                         engine_->ExecuteBatch(batch.compiled));
   const double m = family_->num_functions();
   std::vector<std::vector<AnnMatch>> results(raw.size());
   for (size_t q = 0; q < raw.size(); ++q) {

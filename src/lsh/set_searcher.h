@@ -56,11 +56,10 @@ class SetLshSearcher {
       std::span<const std::vector<uint32_t>> queries);
 
   /// Two-phase MatchBatch for the streaming pipeline (see
-  /// LshSearcher::Prepare): MinHash transform + backend staging, then
-  /// execution; Prepare may run concurrently with ExecutePrepared.
+  /// LshSearcher::Prepare): MinHash transform, then execution; Prepare may
+  /// run concurrently with ExecutePrepared.
   struct PreparedBatch {
     std::vector<Query> compiled;
-    EngineBackend::StagedChunk staged;
   };
   Result<PreparedBatch> Prepare(
       std::span<const std::vector<uint32_t>> queries);

@@ -39,7 +39,6 @@ CostModel::CostModel() {
   rates_.match_s_per_posting = 5e-9;
   rates_.select_s_per_query = 2e-6;
   rates_.transfer_s_per_byte = 1e-10;
-  rates_.prepare_s_per_query = 1e-6;
   rates_.merge_s_per_query_part = 1e-6;
 }
 
@@ -60,13 +59,8 @@ void CostModel::ObserveExecution(const MatchProfile& delta,
         select_rate_of_selector_[static_cast<int>(selector)];
     selector_rate = Blend(selector_rate, delta.select_s / num_queries);
   }
-  if (delta.prepare_s > 0) {
-    rates_.prepare_s_per_query =
-        Blend(rates_.prepare_s_per_query, delta.prepare_s / num_queries);
-  }
   const uint64_t moved = delta.index_bytes + delta.query_bytes;
-  const double transfer_s = delta.index_transfer_s +
-                            (delta.query_transfer_s - delta.prepare_s);
+  const double transfer_s = delta.index_transfer_s + delta.query_transfer_s;
   if (moved > 0 && transfer_s > 0) {
     rates_.transfer_s_per_byte =
         Blend(rates_.transfer_s_per_byte,
@@ -114,21 +108,15 @@ double CostModel::EstimateExecuteSeconds(uint64_t postings_scanned,
          rates_.select_s_per_query * num_queries;
 }
 
-double CostModel::EstimatePrepareSeconds(uint32_t num_queries) const {
-  return rates_.prepare_s_per_query * num_queries;
-}
-
 std::string CostModel::DebugString() const {
   char buffer[256];
   std::snprintf(
       buffer, sizeof(buffer),
       "observations=%llu escalations=%u cpq_overflows=%u margin=%.2f "
-      "match=%.3gs/posting select=%.3gs/query prepare=%.3gs/query "
-      "merge=%.3gs/(query*part)",
+      "match=%.3gs/posting select=%.3gs/query merge=%.3gs/(query*part)",
       static_cast<unsigned long long>(observations_), escalations_,
       cpq_overflows_, residency_margin_, rates_.match_s_per_posting,
-      rates_.select_s_per_query, rates_.prepare_s_per_query,
-      rates_.merge_s_per_query_part);
+      rates_.select_s_per_query, rates_.merge_s_per_query_part);
   return buffer;
 }
 

@@ -24,7 +24,6 @@ struct StageCostRates {
   double match_s_per_posting = 0;
   double select_s_per_query = 0;
   double transfer_s_per_byte = 0;
-  double prepare_s_per_query = 0;
   double merge_s_per_query_part = 0;
 };
 
@@ -85,8 +84,6 @@ class CostModel {
   /// `postings_scanned` plus selection of `num_queries` queries.
   double EstimateExecuteSeconds(uint64_t postings_scanned,
                                 uint32_t num_queries) const;
-  /// Predicted prepare-stage seconds (the pipeline's overlappable half).
-  double EstimatePrepareSeconds(uint32_t num_queries) const;
 
   std::string DebugString() const;
 

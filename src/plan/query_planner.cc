@@ -89,10 +89,9 @@ double ExecutionPlan::PartVolumeRatio(const IndexStats& stats) const {
 std::string ExecutionPlan::DebugString() const {
   char buffer[192];
   std::snprintf(buffer, sizeof(buffer),
-                "%s tier=%s selector=%s parts=%u chunk=%u pipeline_depth=%u",
+                "%s tier=%s selector=%s parts=%u chunk=%u",
                 planned ? "planned" : "fallback", TierToString(tier),
-                SelectorToString(selector), num_parts, chunk_size,
-                pipeline_depth);
+                SelectorToString(selector), num_parts, chunk_size);
   std::string out = buffer;
   if (part_boundaries.size() >= 2) {
     out += " boundaries=[";
@@ -157,9 +156,8 @@ ExecutionPlan QueryPlanner::Plan(const PlannerInputs& inputs,
     plan.part_boundaries = BalancedBoundaries(stats, parts);
     plan.num_parts = static_cast<uint32_t>(plan.part_boundaries.size() - 1);
     // The coordinator holds no device residency: chunk large so the RPC
-    // fan-out is amortized, no pipeline (workers own their own staging).
+    // fan-out is amortized.
     plan.chunk_size = kMaxPlannedChunk;
-    plan.pipeline_depth = 1;
     plan.planned = true;
     return plan;
   }
@@ -236,11 +234,6 @@ ExecutionPlan QueryPlanner::Plan(const PlannerInputs& inputs,
   } else {
     plan.chunk_size = 1;
   }
-  // Double-buffer the prepare stage whenever there is headroom beside one
-  // executing chunk's arenas; the staged half is only the task lists, far
-  // smaller than the working arenas it overlaps.
-  plan.pipeline_depth =
-      working_bytes > 0 && fraction < 1.0 && plan.chunk_size > 1 ? 2 : 1;
   return plan;
 }
 

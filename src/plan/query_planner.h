@@ -6,10 +6,10 @@
 /// everything about *how* lives in an explicit ExecutionPlan. The planner
 /// turns IndexStats (data shape) + CostModel (machine rates + escalation
 /// feedback) + the caller's knobs into one plan — tier, postings-volume-
-/// balanced part boundaries, device placement, stream chunk size, pipeline
-/// depth — which EngineBackend then executes. The legacy try-and-escalate
-/// path survives only as the safety net behind a plan that proves
-/// optimistic, and each miss feeds the model for the next plan.
+/// balanced part boundaries, device placement, stream chunk size — which
+/// EngineBackend then executes. Batch-time escalation survives only as the
+/// safety net behind a plan that proves optimistic, and each miss feeds the
+/// model for the next plan.
 
 #include <cstdint>
 #include <string>
@@ -74,11 +74,8 @@ struct ExecutionPlan {
   std::vector<uint32_t> device_of_part;
   /// Queries per stream chunk that fit the working-memory budget.
   uint32_t chunk_size = 1;
-  /// Chunks in flight: 2 = double-buffered prepare/execute pipeline, 1 =
-  /// no overlap worth scheduling (or no memory headroom for it).
-  uint32_t pipeline_depth = 1;
-  /// True when a QueryPlanner produced this plan; false on the legacy
-  /// try-and-escalate fallback path.
+  /// True when a QueryPlanner produced this plan; false when a batch-time
+  /// escalation set the tier up.
   bool planned = false;
 
   /// Max over min per-part postings volume (1.0 = perfectly balanced).
@@ -98,8 +95,8 @@ class QueryPlanner {
  public:
   explicit QueryPlanner(const IndexStats& stats) : stats_(&stats) {}
 
-  /// Decides tier, parts, boundaries, placement, chunk size and pipeline
-  /// depth. Never fails: with degenerate inputs (zero capacity, empty
+  /// Decides tier, parts, boundaries, placement and chunk size. Never
+  /// fails: with degenerate inputs (zero capacity, empty
   /// index) it emits the most conservative legal plan and lets the backend
   /// surface any execution error.
   ExecutionPlan Plan(const PlannerInputs& inputs,

@@ -116,13 +116,12 @@ Result<DocumentSearcher::PreparedBatch> DocumentSearcher::Prepare(
   for (size_t i = 0; i < queries.size(); ++i) {
     batch.compiled[i] = Compile(queries[i]);
   }
-  GENIE_ASSIGN_OR_RETURN(batch.staged, engine_->Prepare(batch.compiled));
   return batch;
 }
 
 Result<std::vector<QueryResult>> DocumentSearcher::ExecutePrepared(
     PreparedBatch batch) {
-  return engine_->Execute(std::move(batch.staged));
+  return engine_->ExecuteBatch(batch.compiled);
 }
 
 }  // namespace sa

@@ -53,11 +53,10 @@ class DocumentSearcher {
       std::span<const Document> queries);
 
   /// Two-phase SearchBatch for the streaming pipeline: token dedup +
-  /// compile + backend staging, then execution. Prepare may run
-  /// concurrently with ExecutePrepared.
+  /// compile, then execution. Prepare may run concurrently with
+  /// ExecutePrepared.
   struct PreparedBatch {
     std::vector<Query> compiled;
-    EngineBackend::StagedChunk staged;
   };
   Result<PreparedBatch> Prepare(std::span<const Document> queries);
   Result<std::vector<QueryResult>> ExecutePrepared(PreparedBatch batch);

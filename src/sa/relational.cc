@@ -161,13 +161,12 @@ Result<RelationalSearcher::PreparedBatch> RelationalSearcher::Prepare(
   for (size_t i = 0; i < queries.size(); ++i) {
     GENIE_ASSIGN_OR_RETURN(batch.compiled[i], Compile(queries[i]));
   }
-  GENIE_ASSIGN_OR_RETURN(batch.staged, engine_->Prepare(batch.compiled));
   return batch;
 }
 
 Result<std::vector<QueryResult>> RelationalSearcher::ExecutePrepared(
     PreparedBatch batch) const {
-  return engine_->Execute(std::move(batch.staged));
+  return engine_->ExecuteBatch(batch.compiled);
 }
 
 }  // namespace sa

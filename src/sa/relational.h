@@ -110,12 +110,10 @@ class RelationalSearcher {
   Result<std::vector<QueryResult>> SearchBatch(
       std::span<const RangeQuery> queries) const;
 
-  /// Two-phase SearchBatch for the streaming pipeline: range lowering +
-  /// backend staging, then execution. Prepare may run concurrently with
-  /// ExecutePrepared.
+  /// Two-phase SearchBatch for the streaming pipeline: range lowering,
+  /// then execution. Prepare may run concurrently with ExecutePrepared.
   struct PreparedBatch {
     std::vector<Query> compiled;
-    EngineBackend::StagedChunk staged;
   };
   Result<PreparedBatch> Prepare(std::span<const RangeQuery> queries) const;
   Result<std::vector<QueryResult>> ExecutePrepared(PreparedBatch batch) const;

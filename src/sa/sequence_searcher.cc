@@ -224,7 +224,6 @@ Result<SequenceSearcher::PreparedBatch> SequenceSearcher::Prepare(
   for (size_t i = 0; i < queries.size(); ++i) {
     batch.compiled[i] = Compile(queries[i]);
   }
-  GENIE_ASSIGN_OR_RETURN(batch.staged, engine_->Prepare(batch.compiled));
   return batch;
 }
 
@@ -235,7 +234,7 @@ Result<std::vector<SequenceSearchOutcome>> SequenceSearcher::ExecutePrepared(
         "prepared batch does not match the query span");
   }
   GENIE_ASSIGN_OR_RETURN(std::vector<QueryResult> raw,
-                         engine_->Execute(std::move(batch.staged)));
+                         engine_->ExecuteBatch(batch.compiled));
   std::vector<SequenceSearchOutcome> outcomes(queries.size());
   {
     ScopedTimer timer(&verify_seconds_);

@@ -80,14 +80,12 @@ class SequenceSearcher {
       std::span<const std::string> queries);
 
   /// Two-phase SearchBatch for the streaming pipeline: Prepare compiles
-  /// the first round's n-gram queries and stages them through the backend;
-  /// ExecutePrepared executes, verifies (Algorithm 2), and — when
-  /// escalation is enabled — runs the later rounds exactly like
-  /// SearchBatch (those rounds re-compile against a fresh wider-K backend
-  /// and are not staged). `queries` must be the span Prepare saw.
+  /// the first round's n-gram queries; ExecutePrepared executes them,
+  /// verifies (Algorithm 2), and — when escalation is enabled — runs the
+  /// later rounds exactly like SearchBatch (those rounds re-compile at the
+  /// widened K). `queries` must be the span Prepare saw.
   struct PreparedBatch {
     std::vector<Query> compiled;
-    EngineBackend::StagedChunk staged;
   };
   Result<PreparedBatch> Prepare(std::span<const std::string> queries);
   Result<std::vector<SequenceSearchOutcome>> ExecutePrepared(

@@ -58,13 +58,6 @@ void Device::FreeBytes(uint64_t bytes) {
   allocated_bytes_.fetch_sub(bytes);
 }
 
-void Device::RecordStagingAlloc(uint64_t bytes) {
-  const uint64_t now = staging_bytes_.fetch_add(bytes) + bytes;
-  uint64_t peak = peak_staging_bytes_.load();
-  while (now > peak && !peak_staging_bytes_.compare_exchange_weak(peak, now)) {
-  }
-}
-
 DeviceStats Device::stats() const {
   DeviceStats s;
   s.kernel_launches = kernel_launches_.load();
@@ -74,8 +67,6 @@ DeviceStats Device::stats() const {
   s.bytes_d2h = bytes_d2h_.load();
   s.allocated_bytes = allocated_bytes_.load();
   s.peak_allocated_bytes = peak_allocated_bytes_.load();
-  s.staging_bytes = staging_bytes_.load();
-  s.peak_staging_bytes = peak_staging_bytes_.load();
   return s;
 }
 
@@ -86,7 +77,6 @@ void Device::ResetStats() {
   bytes_h2d_ = 0;
   bytes_d2h_ = 0;
   peak_allocated_bytes_ = allocated_bytes_.load();
-  peak_staging_bytes_ = staging_bytes_.load();
 }
 
 }  // namespace sim

@@ -62,10 +62,6 @@ struct DeviceStats {
   uint64_t bytes_d2h = 0;
   uint64_t peak_allocated_bytes = 0;
   uint64_t allocated_bytes = 0;
-  /// Of allocated_bytes, the part held by staged (not yet executing) query
-  /// chunks — the streaming pipeline's double buffer. See StagingLease.
-  uint64_t staging_bytes = 0;
-  uint64_t peak_staging_bytes = 0;
 };
 
 class Device {
@@ -155,13 +151,6 @@ class Device {
     return Status::OK();
   }
 
-  /// Staging accounting (called by StagingLease): classifies a slice of the
-  /// already-allocated bytes as belonging to a staged-but-not-yet-executing
-  /// chunk, so residency checks can tell the pipeline's double buffer apart
-  /// from resident index state. Does not allocate.
-  void RecordStagingAlloc(uint64_t bytes);
-  void RecordStagingFree(uint64_t bytes) { staging_bytes_.fetch_sub(bytes); }
-
   DeviceStats stats() const;
   void ResetStats();
 
@@ -170,7 +159,6 @@ class Device {
     return options_.memory_capacity_bytes;
   }
   uint64_t allocated_bytes() const { return allocated_bytes_.load(); }
-  uint64_t staging_bytes() const { return staging_bytes_.load(); }
 
  private:
   Status ValidateLaunch(const LaunchConfig& cfg) const;
@@ -185,56 +173,11 @@ class Device {
   std::atomic<uint64_t> bytes_d2h_{0};
   std::atomic<uint64_t> allocated_bytes_{0};
   std::atomic<uint64_t> peak_allocated_bytes_{0};
-  std::atomic<uint64_t> staging_bytes_{0};
-  std::atomic<uint64_t> peak_staging_bytes_{0};
   /// -1 = disarmed; >= 0 = D2H copies remaining before the armed fault
   /// fires once. The status is written before arming (release) and read
   /// only by the copy that observes the countdown hit zero (acquire).
   std::atomic<int64_t> d2h_fault_countdown_{-1};
   Status d2h_fault_status_;
-};
-
-/// RAII classification of device bytes as chunk-staging memory (the
-/// prepared-but-not-yet-executing half of the streaming pipeline's double
-/// buffer). The underlying DeviceBuffers already count against the device
-/// capacity; the lease only tags them in the staging counters, so at-most-
-/// one-chunk-staged invariants are observable per device. Movable;
-/// releases on destruction.
-class StagingLease {
- public:
-  StagingLease() = default;
-  StagingLease(Device* device, uint64_t bytes) : device_(device), bytes_(bytes) {
-    if (device_ != nullptr) device_->RecordStagingAlloc(bytes_);
-  }
-  ~StagingLease() { Release(); }
-
-  StagingLease(StagingLease&& other) noexcept { *this = std::move(other); }
-  StagingLease& operator=(StagingLease&& other) noexcept {
-    if (this != &other) {
-      Release();
-      device_ = other.device_;
-      bytes_ = other.bytes_;
-      other.device_ = nullptr;
-      other.bytes_ = 0;
-    }
-    return *this;
-  }
-  StagingLease(const StagingLease&) = delete;
-  StagingLease& operator=(const StagingLease&) = delete;
-
-  uint64_t bytes() const { return bytes_; }
-
- private:
-  void Release() {
-    if (device_ != nullptr) {
-      device_->RecordStagingFree(bytes_);
-      device_ = nullptr;
-    }
-    bytes_ = 0;
-  }
-
-  Device* device_ = nullptr;
-  uint64_t bytes_ = 0;
 };
 
 /// Typed device-memory allocation. The backing store is host memory, but all

@@ -26,8 +26,6 @@ DeviceStats DeviceSet::aggregate_stats() const {
     total.bytes_d2h += s.bytes_d2h;
     total.allocated_bytes += s.allocated_bytes;
     total.peak_allocated_bytes += s.peak_allocated_bytes;
-    total.staging_bytes += s.staging_bytes;
-    total.peak_staging_bytes += s.peak_staging_bytes;
   }
   return total;
 }
@@ -35,12 +33,6 @@ DeviceStats DeviceSet::aggregate_stats() const {
 uint64_t DeviceSet::allocated_bytes() const {
   uint64_t total = 0;
   for (const auto& device : devices_) total += device->allocated_bytes();
-  return total;
-}
-
-uint64_t DeviceSet::staging_bytes() const {
-  uint64_t total = 0;
-  for (const auto& device : devices_) total += device->staging_bytes();
   return total;
 }
 

@@ -45,11 +45,6 @@ class DeviceSet {
   DeviceStats aggregate_stats() const;
   /// Currently allocated bytes summed across devices.
   uint64_t allocated_bytes() const;
-  /// Bytes currently held by staged (prepared, not yet executing) query
-  /// chunks, summed across devices; see sim::StagingLease. With the
-  /// streaming pipeline's double buffering at most one chunk is staged per
-  /// device on top of the executing one.
-  uint64_t staging_bytes() const;
   void ResetStats();
 
  private:

@@ -18,10 +18,12 @@
 #include "api/genie.h"
 #include "api_test_util.h"
 #include "common/rng.h"
+#include "core/engine_backend.h"
 #include "data/documents.h"
 #include "data/points.h"
 #include "data/relational_data.h"
 #include "data/sequences.h"
+#include "index/delta/mutation_controller.h"
 #include "test_util.h"
 
 namespace genie {
@@ -663,6 +665,36 @@ TEST(MutationTest, FlushHotSwapUnderConcurrentStreams) {
   ASSERT_TRUE(blocking.ok());
   ASSERT_TRUE(streamed.ok());
   ExpectSameAnswers(*streamed, *blocking, "stream vs blocking at quiesce");
+}
+
+TEST(MutationTest, CompactionReleasesTheIndexItReplaces) {
+  // Each compaction swaps a freshly built index in; once the swap commits,
+  // nothing may keep the replaced one alive, or a long run of compactions
+  // grows memory by one index per pass.
+  auto workload = test::MakeRandomWorkload(300, 40, 5, 6, 3, 218);
+  MatchEngineOptions options;
+  options.k = 5;
+  options.device = test::SharedTestDevice(2);
+  auto backend = EngineBackend::Create(&workload.index, options);
+  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+  delta::MutationOptions mutation_options;
+  mutation_options.auto_compact_segments = 0;
+  delta::MutationController controller(
+      backend->get(), workload.index.num_objects(), mutation_options);
+
+  const std::vector<Keyword> object{1, 2, 3};
+  controller.Insert(object);
+  ASSERT_TRUE(controller.Flush().ok());  // the backend now owns its index
+  const std::weak_ptr<const InvertedIndex> replaced = (*backend)->index();
+  ASSERT_FALSE(replaced.expired());
+
+  controller.Insert(object);
+  ASSERT_TRUE(controller.Flush().ok());
+  EXPECT_TRUE(replaced.expired());
+  EXPECT_EQ((*backend)->index()->num_objects(),
+            workload.index.num_objects() + 2);
+  auto results = (*backend)->ExecuteBatch(workload.queries);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
 }
 
 // ---------------------------------------------------------------------------

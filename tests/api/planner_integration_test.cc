@@ -1,9 +1,11 @@
-/// Facade-level planner contract: UsePlanner(true) — the default — must be
-/// invisible in the results. Every modality answers identically with the
-/// planner on and off at every device count of the sweep (the plan path vs
-/// the legacy try-and-escalate path), the profile carries the plan facts,
-/// ExplainPlan reports the live schedule, and bundles persist IndexStats
-/// that equal a fresh recompute.
+/// Facade-level planner contract: the plan the backend executes must be
+/// invisible in the results. Every modality answers like a single-load
+/// reference at every device count of the sweep — a brute-force count over
+/// the index for the keyword modalities, the domain searcher's compiled
+/// queries run directly on a single-load MatchEngine for the LSH and
+/// sequence modalities — the profile carries the plan facts, ExplainPlan
+/// reports the live schedule, and bundles persist IndexStats that equal a
+/// fresh recompute.
 
 #include <gtest/gtest.h>
 
@@ -16,11 +18,20 @@
 #include "api_test_util.h"
 #include "common/rng.h"
 #include "common/serialize.h"
+#include "core/match_engine.h"
 #include "data/documents.h"
 #include "data/points.h"
 #include "data/relational_data.h"
 #include "data/sequences.h"
+#include "lsh/e2lsh.h"
+#include "lsh/lsh_searcher.h"
+#include "lsh/min_hash.h"
+#include "lsh/set_searcher.h"
 #include "plan/index_stats.h"
+#include "sa/document_searcher.h"
+#include "sa/edit_distance.h"
+#include "sa/relational.h"
+#include "sa/sequence_searcher.h"
 #include "test_util.h"
 
 namespace genie {
@@ -32,38 +43,74 @@ std::string TempPath(const std::string& name) {
   return testing::TempDir() + name;
 }
 
-/// Same config, planner on vs off, at every device count: answers must be
-/// equal, and the profile must say which decision path produced them.
-template <typename MakeConfig, typename MakeRequest>
-void CheckPlannerEquivalence(MakeConfig make_config,
-                             MakeRequest make_request) {
-  for (uint32_t devices : DeviceSweep()) {
-    auto planned =
-        Engine::Create(make_config().Devices(devices).UsePlanner(true));
-    ASSERT_TRUE(planned.ok())
-        << devices << " devices: " << planned.status().ToString();
-    auto legacy =
-        Engine::Create(make_config().Devices(devices).UsePlanner(false));
-    ASSERT_TRUE(legacy.ok())
-        << devices << " devices: " << legacy.status().ToString();
-
-    auto planned_result = (*planned)->Search(make_request());
-    ASSERT_TRUE(planned_result.ok())
-        << devices << " devices: " << planned_result.status().ToString();
-    auto legacy_result = (*legacy)->Search(make_request());
-    ASSERT_TRUE(legacy_result.ok())
-        << devices << " devices: " << legacy_result.status().ToString();
-
-    EXPECT_TRUE(planned_result->profile.planned)
-        << "at " << devices << " devices";
-    EXPECT_FALSE(planned_result->profile.plan_tier.empty());
-    EXPECT_FALSE(legacy_result->profile.planned)
-        << "at " << devices << " devices";
-
-    test::ExpectSameAnswers(
-        *planned_result, *legacy_result,
-        "planner vs legacy at " + std::to_string(devices) + " devices");
+/// Per query, the match counts of the hits in descending order.
+std::vector<std::vector<uint32_t>> HitCounts(const SearchResult& result) {
+  std::vector<std::vector<uint32_t>> counts(result.queries.size());
+  for (size_t q = 0; q < result.queries.size(); ++q) {
+    for (const Hit& hit : result.queries[q].hits) {
+      counts[q].push_back(hit.match_count);
+    }
+    std::sort(counts[q].begin(), counts[q].end(), std::greater<>());
   }
+  return counts;
+}
+
+/// Per query, the top-k match-count multiset a single-load MatchEngine
+/// returns for `compiled` over `index`.
+std::vector<std::vector<uint32_t>> SingleLoadCounts(
+    const InvertedIndex& index, std::span<const Query> compiled, uint32_t k) {
+  MatchEngineOptions options;
+  options.k = k;
+  options.device = test::SharedTestDevice(2);
+  auto engine = MatchEngine::Create(&index, options);
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  if (!engine.ok()) return {};
+  auto results = (*engine)->ExecuteBatch(compiled);
+  EXPECT_TRUE(results.ok()) << results.status().ToString();
+  if (!results.ok()) return {};
+  std::vector<std::vector<uint32_t>> counts;
+  for (const QueryResult& result : *results) {
+    counts.push_back(test::EntryCountMultiset(result));
+  }
+  return counts;
+}
+
+/// Per query, the top-k match-count multiset of a brute-force count.
+std::vector<std::vector<uint32_t>> BruteForceTopK(
+    const InvertedIndex& index, std::span<const Query> compiled, uint32_t k) {
+  std::vector<std::vector<uint32_t>> counts;
+  for (const Query& query : compiled) {
+    counts.push_back(
+        test::TopKCountMultiset(test::BruteForceCounts(index, query), k));
+  }
+  return counts;
+}
+
+/// The planned engine of `make_config` at every device count must answer
+/// `want` (a per-query value multiset read off the result by `read`), and
+/// its profile must say the planner produced the tier.
+template <typename MakeConfig, typename MakeRequest, typename Read,
+          typename Want>
+void CheckPlannedAnswers(MakeConfig make_config, MakeRequest make_request,
+                         Read read, const Want& want) {
+  for (uint32_t devices : DeviceSweep()) {
+    auto engine = Engine::Create(make_config().Devices(devices));
+    ASSERT_TRUE(engine.ok())
+        << devices << " devices: " << engine.status().ToString();
+    auto result = (*engine)->Search(make_request());
+    ASSERT_TRUE(result.ok())
+        << devices << " devices: " << result.status().ToString();
+    EXPECT_TRUE(result->profile.planned) << "at " << devices << " devices";
+    EXPECT_FALSE(result->profile.plan_tier.empty());
+    EXPECT_EQ(read(*result), want)
+        << "planned answers vs the reference at " << devices << " devices";
+  }
+}
+
+template <typename MakeConfig, typename MakeRequest>
+void CheckPlannedCounts(MakeConfig make_config, MakeRequest make_request,
+                        const std::vector<std::vector<uint32_t>>& want) {
+  CheckPlannedAnswers(make_config, make_request, HitCounts, want);
 }
 
 TEST(PlannerIntegrationTest, PointsPlanMatchesEscalationPath) {
@@ -75,17 +122,40 @@ TEST(PlannerIntegrationTest, PointsPlanMatchesEscalationPath) {
   auto dataset = data::MakeClusteredPoints(data_options);
   auto queries = data::MakeQueriesNear(dataset.points, 4, 0.1, 92);
 
-  CheckPlannerEquivalence(
+  lsh::E2LshOptions lsh_options;
+  lsh_options.dim = dataset.points.dim();
+  lsh_options.num_functions = 16;
+  lsh_options.seed = 93;
+  auto e2lsh = lsh::E2LshFamily::Create(lsh_options);
+  ASSERT_TRUE(e2lsh.ok());
+  std::shared_ptr<const lsh::VectorLshFamily> family(
+      std::move(e2lsh).ValueOrDie());
+
+  // The domain searcher with the facade's transform settings compiles the
+  // queries; the reference runs them directly on a single-load engine.
+  lsh::LshSearchOptions options;
+  options.transform.rehash_domain = 64;
+  options.transform.seed = 93;
+  options.engine.k = 5;
+  options.engine.device = test::SharedTestDevice(2);
+  auto searcher = lsh::LshSearcher::Create(&dataset.points, family, options);
+  ASSERT_TRUE(searcher.ok()) << searcher.status().ToString();
+  auto compiled = (*searcher)->Prepare(queries);
+  ASSERT_TRUE(compiled.ok());
+  const auto want = SingleLoadCounts((*searcher)->index(), compiled->compiled,
+                                     options.engine.k);
+
+  CheckPlannedCounts(
       [&] {
         return EngineConfig()
             .Points(&dataset.points)
+            .VectorFamily(family)
             .K(5)
-            .HashFunctions(16)
             .RehashDomain(64)
             .Seed(93)
             .Device(test::SharedTestDevice(2));
       },
-      [&] { return SearchRequest::Points(queries); });
+      [&] { return SearchRequest::Points(queries); }, want);
 }
 
 TEST(PlannerIntegrationTest, SetsPlanMatchesEscalationPath) {
@@ -98,17 +168,37 @@ TEST(PlannerIntegrationTest, SetsPlanMatchesEscalationPath) {
   }
   std::vector<std::vector<uint32_t>> queries{sets[0], sets[75], sets[149]};
 
-  CheckPlannerEquivalence(
+  lsh::MinHashOptions minhash;
+  minhash.num_functions = 16;
+  minhash.seed = 95;
+  auto min_hash = lsh::MinHashFamily::Create(minhash);
+  ASSERT_TRUE(min_hash.ok());
+  std::shared_ptr<const lsh::SetLshFamily> family(
+      std::move(min_hash).ValueOrDie());
+
+  lsh::SetSearchOptions options;
+  options.transform.rehash_domain = 128;
+  options.transform.seed = 95;
+  options.engine.k = 4;
+  options.engine.device = test::SharedTestDevice(2);
+  auto searcher = lsh::SetLshSearcher::Create(&sets, family, options);
+  ASSERT_TRUE(searcher.ok()) << searcher.status().ToString();
+  auto compiled = (*searcher)->Prepare(queries);
+  ASSERT_TRUE(compiled.ok());
+  const auto want = SingleLoadCounts((*searcher)->index(), compiled->compiled,
+                                     options.engine.k);
+
+  CheckPlannedCounts(
       [&] {
         return EngineConfig()
             .Sets(&sets)
+            .SetFamily(family)
             .K(4)
-            .HashFunctions(16)
             .RehashDomain(128)
             .Seed(95)
             .Device(test::SharedTestDevice(2));
       },
-      [&] { return SearchRequest::Sets(queries); });
+      [&] { return SearchRequest::Sets(queries); }, want);
 }
 
 TEST(PlannerIntegrationTest, SequencesPlanMatchesEscalationPath) {
@@ -120,17 +210,61 @@ TEST(PlannerIntegrationTest, SequencesPlanMatchesEscalationPath) {
   auto sequences = data::MakeSequences(data_options);
   std::vector<std::string> queries{sequences[3], sequences[70],
                                    sequences[149]};
+  constexpr uint32_t kNn = 2;
+  constexpr uint32_t kCandidates = 16;
 
-  CheckPlannerEquivalence(
+  // Reference: the domain searcher's n-gram queries on a single-load
+  // engine, verified (Algorithm 2) by exact edit distance over the K
+  // candidates; the answer is the multiset of the k smallest distances.
+  sa::SequenceSearchOptions options;
+  options.ngram = 3;
+  options.k = kNn;
+  options.candidate_k = kCandidates;
+  options.engine.device = test::SharedTestDevice(2);
+  auto searcher = sa::SequenceSearcher::Create(&sequences, options);
+  ASSERT_TRUE(searcher.ok()) << searcher.status().ToString();
+  std::vector<Query> compiled;
+  for (const std::string& query : queries) {
+    compiled.push_back((*searcher)->Compile(query));
+  }
+  MatchEngineOptions engine_options;
+  engine_options.k = kCandidates;
+  engine_options.device = test::SharedTestDevice(2);
+  auto engine = MatchEngine::Create(&(*searcher)->index(), engine_options);
+  ASSERT_TRUE(engine.ok());
+  auto candidates = (*engine)->ExecuteBatch(compiled);
+  ASSERT_TRUE(candidates.ok()) << candidates.status().ToString();
+  std::vector<std::vector<double>> want(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    for (const TopKEntry& e : (*candidates)[q].entries) {
+      want[q].push_back(-static_cast<double>(
+          sa::EditDistance(queries[q], sequences[e.id])));
+    }
+    std::sort(want[q].begin(), want[q].end(), std::greater<>());
+    if (want[q].size() > kNn) want[q].resize(kNn);
+  }
+
+  CheckPlannedAnswers(
       [&] {
         return EngineConfig()
             .Sequences(&sequences)
-            .K(2)
-            .CandidateK(16)
+            .K(kNn)
+            .CandidateK(kCandidates)
             .Ngram(3)
             .Device(test::SharedTestDevice(2));
       },
-      [&] { return SearchRequest::Sequences(queries); });
+      [&] { return SearchRequest::Sequences(queries); },
+      [](const SearchResult& result) {
+        std::vector<std::vector<double>> scores(result.queries.size());
+        for (size_t q = 0; q < result.queries.size(); ++q) {
+          for (const Hit& hit : result.queries[q].hits) {
+            scores[q].push_back(hit.score);
+          }
+          std::sort(scores[q].begin(), scores[q].end(), std::greater<>());
+        }
+        return scores;
+      },
+      want);
 }
 
 TEST(PlannerIntegrationTest, DocumentsPlanMatchesEscalationPath) {
@@ -144,12 +278,25 @@ TEST(PlannerIntegrationTest, DocumentsPlanMatchesEscalationPath) {
   std::vector<std::vector<uint32_t>> queries{corpus[0], corpus[100],
                                              corpus[199]};
 
-  CheckPlannerEquivalence(
+  // The domain searcher builds the same index and compiles the queries;
+  // the reference counts them by brute force.
+  sa::DocumentSearchOptions options;
+  options.k = 4;
+  options.engine.device = test::SharedTestDevice(2);
+  auto searcher = sa::DocumentSearcher::Create(&corpus, options);
+  ASSERT_TRUE(searcher.ok()) << searcher.status().ToString();
+  std::vector<Query> compiled;
+  for (const auto& query : queries) {
+    compiled.push_back((*searcher)->Compile(query));
+  }
+  const auto want = BruteForceTopK((*searcher)->index(), compiled, 4);
+
+  CheckPlannedCounts(
       [&] {
         return EngineConfig().Documents(&corpus).K(4).Device(
             test::SharedTestDevice(2));
       },
-      [&] { return SearchRequest::Documents(queries); });
+      [&] { return SearchRequest::Documents(queries); }, want);
 }
 
 TEST(PlannerIntegrationTest, RelationalPlanMatchesEscalationPath) {
@@ -163,24 +310,37 @@ TEST(PlannerIntegrationTest, RelationalPlanMatchesEscalationPath) {
   auto table = data::MakeRelationalTable(data_options);
   auto queries = data::MakeExactMatchQueries(table, 4, 99);
 
-  CheckPlannerEquivalence(
+  MatchEngineOptions engine_options;
+  engine_options.device = test::SharedTestDevice(2);
+  auto searcher = sa::RelationalSearcher::Create(&table, 3, engine_options);
+  ASSERT_TRUE(searcher.ok()) << searcher.status().ToString();
+  std::vector<Query> compiled;
+  for (const sa::RangeQuery& query : queries) {
+    auto lowered = (*searcher)->Compile(query);
+    ASSERT_TRUE(lowered.ok());
+    compiled.push_back(std::move(lowered).ValueOrDie());
+  }
+  const auto want = BruteForceTopK((*searcher)->index(), compiled, 3);
+
+  CheckPlannedCounts(
       [&] {
         return EngineConfig().Table(&table).K(3).Device(
             test::SharedTestDevice(2));
       },
-      [&] { return SearchRequest::Ranges(queries); });
+      [&] { return SearchRequest::Ranges(queries); }, want);
 }
 
 TEST(PlannerIntegrationTest, CompiledPlanMatchesEscalationPath) {
   auto workload = test::MakeRandomWorkload(500, 60, 5, 6, 4, 100);
-  CheckPlannerEquivalence(
+  CheckPlannedCounts(
       [&] {
         return EngineConfig()
             .Index(&workload.index)
             .K(5)
             .Device(test::SharedTestDevice(2));
       },
-      [&] { return SearchRequest::Compiled(workload.queries); });
+      [&] { return SearchRequest::Compiled(workload.queries); },
+      BruteForceTopK(workload.index, workload.queries, 5));
 }
 
 TEST(PlannerIntegrationTest, ExplainPlanReportsTheLiveSchedule) {
@@ -188,7 +348,6 @@ TEST(PlannerIntegrationTest, ExplainPlanReportsTheLiveSchedule) {
   auto engine = Engine::Create(EngineConfig()
                                    .Index(&workload.index)
                                    .K(4)
-                                   .UsePlanner(true)
                                    .Device(test::SharedTestDevice(2)));
   ASSERT_TRUE(engine.ok());
   const std::string report = (*engine)->ExplainPlan();
@@ -196,15 +355,6 @@ TEST(PlannerIntegrationTest, ExplainPlanReportsTheLiveSchedule) {
   EXPECT_NE(report.find("tier=single-device"), std::string::npos) << report;
   EXPECT_NE(report.find("objects=300"), std::string::npos) << report;
   EXPECT_NE(report.find("margin"), std::string::npos) << report;
-
-  auto legacy = Engine::Create(EngineConfig()
-                                   .Index(&workload.index)
-                                   .K(4)
-                                   .UsePlanner(false)
-                                   .Device(test::SharedTestDevice(2)));
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_NE((*legacy)->ExplainPlan().find("planner: off"),
-            std::string::npos);
 }
 
 TEST(PlannerIntegrationTest, ProfileCarriesPlanFacts) {
@@ -219,7 +369,6 @@ TEST(PlannerIntegrationTest, ProfileCarriesPlanFacts) {
   EXPECT_TRUE(result->profile.planned);  // planner is the default
   EXPECT_EQ(result->profile.plan_tier, "single-device");
   EXPECT_GE(result->profile.planned_chunk_size, 1u);
-  EXPECT_GE(result->profile.planned_pipeline_depth, 1u);
 }
 
 /// Parses the stats section straight out of a GNIEBNDL v3 file:

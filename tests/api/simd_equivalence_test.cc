@@ -44,11 +44,23 @@ const char* SelectorLabel(SelectorKind s) {
   return "?";
 }
 
+/// The selector of the live tier, read off ExplainPlan's "live:" line.
+std::string LiveSelector(const std::string& report) {
+  const size_t line = report.find("\nlive: ");
+  if (line == std::string::npos) return "";
+  const size_t end = report.find('\n', line + 1);
+  const std::string live = report.substr(line, end - line);
+  const size_t at = live.find(" selector=");
+  if (at == std::string::npos) return "";
+  return live.substr(at + std::string(" selector=").size());
+}
+
 /// Same config and request, scalar arm vs best vector arm, for every
 /// (device count, selector) cell. The force spans engine construction AND
-/// the search, so staging-time kernel use is covered too. The planner is
-/// pinned off so both runs execute the configured selector as-is (planner
-/// promotion equivalence has its own suite).
+/// the search. Each run must execute the configured selector as-is — the
+/// live selector ExplainPlan reports is asserted — so a planner promotion
+/// cannot silently collapse the selector sweep (promotion equivalence has
+/// its own suite).
 template <typename MakeConfig, typename MakeRequest>
 void CheckSimdEquivalence(MakeConfig make_config, MakeRequest make_request) {
   const simd::Arch best = simd::BestSupportedArch();
@@ -60,16 +72,17 @@ void CheckSimdEquivalence(MakeConfig make_config, MakeRequest make_request) {
       std::vector<SearchResult> per_arm;
       for (const simd::Arch arch : {simd::Arch::kScalar, best}) {
         simd::ScopedForceArch force(arch);
-        auto engine = Engine::Create(make_config()
-                                         .Devices(devices)
-                                         .Selector(selector)
-                                         .UsePlanner(false));
+        auto engine = Engine::Create(
+            make_config().Devices(devices).Selector(selector));
         ASSERT_TRUE(engine.ok()) << label << ": "
                                  << engine.status().ToString();
         auto result = (*engine)->Search(make_request());
         ASSERT_TRUE(result.ok()) << label << " arch="
                                  << simd::ArchName(arch) << ": "
                                  << result.status().ToString();
+        EXPECT_EQ(LiveSelector((*engine)->ExplainPlan()),
+                  SelectorLabel(selector))
+            << label << " arch=" << simd::ArchName(arch);
         per_arm.push_back(*std::move(result));
       }
       test::ExpectSameAnswers(per_arm[1], per_arm[0],

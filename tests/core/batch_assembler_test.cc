@@ -59,16 +59,24 @@ TEST(BatchAssemblerTest, BatchSizeForPrefersLivePlanChunkSize) {
 }
 
 TEST(BatchAssemblerTest, BatchSizeForFallsBackToMemoryWithoutPlan) {
-  auto workload = test::MakeRandomWorkload(300, 40, 6, 8, 4, 92);
+  // The index nearly fills the device, so the batch's working memory does
+  // not fit beside it: the batch escalates the backend to multiple loading,
+  // which replaces the plan — no live plan, so the memory derivation
+  // answers.
+  auto workload = test::MakeRandomWorkload(20000, 5000, 8, 128, 8, 92);
+  sim::Device::Options tight;
+  tight.num_workers = 2;
+  tight.memory_capacity_bytes = workload.index.postings_bytes() + (76 << 10);
+  sim::Device device(tight);
   MatchEngineOptions options;
   options.k = 5;
   options.max_count = MatchEngine::DeriveMaxCount(workload.queries);
-  options.device = test::SharedTestDevice(4);
-  EngineBackendOptions backend_options;
-  backend_options.use_planner = false;  // legacy decision path: no live plan
-  auto backend =
-      EngineBackend::Create(&workload.index, options, backend_options);
+  options.device = &device;
+  auto backend = EngineBackend::Create(&workload.index, options);
   ASSERT_TRUE(backend.ok());
+  ASSERT_FALSE((*backend)->multi_load());
+  ASSERT_TRUE((*backend)->ExecuteBatch(workload.queries).ok());
+  ASSERT_TRUE((*backend)->multi_load());
 
   ASSERT_FALSE((*backend)->execution_plan().planned);
   const uint32_t derived = BatchAssembler::BatchSizeFor(

@@ -116,42 +116,13 @@ TEST(EngineBackendTest, RejectsEmptyBatchAndBadOptions) {
   EXPECT_FALSE(EngineBackend::Create(&workload.index, options).ok());
 }
 
-TEST(EngineBackendTest, PrepareThenExecuteMatchesExecuteBatch) {
-  auto workload = test::MakeRandomWorkload(800, 60, 6, 12, 5, 45);
-  MatchEngineOptions options;
-  options.k = 7;
-  options.device = test::SharedTestDevice(4);
-  auto backend = EngineBackend::Create(&workload.index, options);
-  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
-
-  auto reference = (*backend)->ExecuteBatch(workload.queries);
-  ASSERT_TRUE(reference.ok());
-
-  auto staged = (*backend)->Prepare(workload.queries);
-  ASSERT_TRUE(staged.ok()) << staged.status().ToString();
-  EXPECT_TRUE(staged->staged());
-  auto results = (*backend)->Execute(std::move(*staged));
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
-
-  ASSERT_EQ(results->size(), reference->size());
-  for (size_t q = 0; q < reference->size(); ++q) {
-    EXPECT_EQ(test::EntryCountMultiset((*results)[q]),
-              test::EntryCountMultiset((*reference)[q]))
-        << "query " << q;
-    EXPECT_EQ((*results)[q].threshold, (*reference)[q].threshold);
-  }
-  // Prepare seconds surfaced through the aggregated profile.
-  EXPECT_GT((*backend)->profile().prepare_s, 0.0);
-}
-
 TEST(EngineBackendTest, StagedEscalationReleasesRetiredIndexMemory) {
-  // Regression: the staged chunk pins the single-load engine via a shared
-  // reference. When its execution escalates to multiple loading, that pin
-  // must be dropped before the fallback runs — otherwise the retired
-  // engine's device-resident index (most of this device) stays allocated
-  // and every part count fails. The sizes mirror the failure: the index
-  // nearly fills the device, and the per-chunk hash-table arenas (which
-  // do not shrink with the part count) exceed what remains beside it.
+  // Regression: when a batch escalates from single load to multiple
+  // loading, the retired engine's device-resident index (most of this
+  // device) must be freed before the fallback runs — otherwise every part
+  // count fails. The sizes mirror the failure: the index nearly fills the
+  // device, and the per-batch hash-table arenas (which do not shrink with
+  // the part count) exceed what remains beside it.
   auto workload = test::MakeRandomWorkload(20000, 5000, 8, 128, 8, 48);
   sim::Device::Options tight;
   tight.num_workers = 2;
@@ -166,9 +137,7 @@ TEST(EngineBackendTest, StagedEscalationReleasesRetiredIndexMemory) {
   ASSERT_TRUE(backend.ok()) << backend.status().ToString();
   EXPECT_FALSE((*backend)->multi_load());
 
-  auto staged = (*backend)->Prepare(workload.queries);
-  ASSERT_TRUE(staged.ok()) << staged.status().ToString();
-  auto results = (*backend)->Execute(std::move(*staged));
+  auto results = (*backend)->ExecuteBatch(workload.queries);
   ASSERT_TRUE(results.ok()) << results.status().ToString();
   EXPECT_TRUE((*backend)->multi_load());
 
@@ -179,75 +148,8 @@ TEST(EngineBackendTest, StagedEscalationReleasesRetiredIndexMemory) {
               test::TopKCountMultiset(counts, 5))
         << "query " << q;
   }
-  EXPECT_EQ(device.staging_bytes(), 0u);
-}
-
-TEST(EngineBackendTest, ExecuteDiscardsStaleChunkAfterTierEscalation) {
-  // Stage a small chunk on the single-load tier, then force a mid-flight
-  // escalation to multiple loading with a memory-hungry batch. Executing
-  // the stale chunk must detect the tier switch, discard the staged work,
-  // and still answer correctly through the new tier.
-  const uint32_t kNumObjects = 3000;
-  const uint32_t kVocab = 100;
-  auto workload = test::MakeRandomWorkload(kNumObjects, kVocab, 8, 0, 0, 46);
-  Rng rng(47);
-  std::vector<Query> small_batch;
-  for (uint32_t q = 0; q < 8; ++q) {
-    Query query;
-    query.AddItem(static_cast<Keyword>(rng.UniformU64(kVocab)));
-    query.AddItem(static_cast<Keyword>(rng.UniformU64(kVocab)));
-    small_batch.push_back(std::move(query));
-  }
-  std::vector<Query> big_batch;
-  for (uint32_t q = 0; q < 8; ++q) {
-    std::set<Keyword> keywords;
-    while (keywords.size() < 48) {
-      keywords.insert(static_cast<Keyword>(rng.UniformU64(kVocab)));
-    }
-    Query query;
-    for (Keyword kw : keywords) query.AddItem(kw);
-    big_batch.push_back(std::move(query));
-  }
-
-  MatchEngineOptions sizing;
-  sizing.k = 5;
-  const uint64_t per_small =
-      MatchEngine::DeviceBytesPerQuery(kNumObjects, sizing, 2);
-  const uint64_t per_big =
-      MatchEngine::DeviceBytesPerQuery(kNumObjects, sizing, 48);
-  sim::Device::Options capacity;
-  capacity.num_workers = 4;
-  capacity.memory_capacity_bytes =
-      workload.index.postings_bytes() + 8 * (per_small + per_big) / 2;
-  sim::Device device(capacity);
-
-  MatchEngineOptions options;
-  options.k = 5;
-  options.device = &device;
-  auto backend = EngineBackend::Create(&workload.index, options);
-  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
-  EXPECT_FALSE((*backend)->multi_load());
-
-  auto staged = (*backend)->Prepare(small_batch);
-  ASSERT_TRUE(staged.ok()) << staged.status().ToString();
-  EXPECT_TRUE(staged->staged());
-
-  // The big batch escalates the backend to multiple loading.
-  auto big_results = (*backend)->ExecuteBatch(big_batch);
-  ASSERT_TRUE(big_results.ok()) << big_results.status().ToString();
-  EXPECT_TRUE((*backend)->multi_load());
-
-  // The stale chunk still answers, via the new tier.
-  auto results = (*backend)->Execute(std::move(*staged));
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
-  for (size_t q = 0; q < small_batch.size(); ++q) {
-    const auto counts =
-        test::BruteForceCounts(workload.index, small_batch[q]);
-    EXPECT_EQ(test::EntryCountMultiset((*results)[q]),
-              test::TopKCountMultiset(counts, 5))
-        << "query " << q;
-  }
-  EXPECT_EQ(device.staging_bytes(), 0u);
+  // Between batches the multi-load tier holds nothing on the device.
+  EXPECT_EQ(device.allocated_bytes(), 0u);
 }
 
 TEST(EngineBackendTest, CpqOverflowPromotesSelectorThroughThePlanner) {
@@ -294,31 +196,6 @@ TEST(EngineBackendTest, CpqOverflowPromotesSelectorThroughThePlanner) {
         << "query " << q;
     EXPECT_EQ((*results)[q].threshold, (*want)[q].threshold);
   }
-}
-
-TEST(EngineBackendTest, CpqOverflowSurfacesWhenPlannerIsOff) {
-  // The legacy path keeps the configured selector pinned: the overflow is
-  // a caller-visible ResourceExhausted (with multi-load escalation off),
-  // exactly the pre-planner contract.
-  auto workload = test::MakeRandomWorkload(3000, 10, 5, 2, 8, 52);
-  MatchEngineOptions options;
-  options.k = 4000;
-  options.ht_slack = 1;
-  options.ht_capacity_cap = 256;
-  options.device = test::SharedTestDevice(4);
-  EngineBackendOptions backend_options;
-  backend_options.use_planner = false;
-  backend_options.allow_multi_load = false;
-
-  auto backend =
-      EngineBackend::Create(&workload.index, options, backend_options);
-  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
-  auto results = (*backend)->ExecuteBatch(workload.queries);
-  ASSERT_FALSE(results.ok());
-  EXPECT_EQ(results.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_TRUE(MatchEngine::IsCpqOverflow(results.status()));
-  EXPECT_EQ((*backend)->execution_plan().selector,
-            MatchEngineOptions::Selector::kCpq);
 }
 
 }  // namespace

@@ -38,7 +38,6 @@ void ExpectSamePlan(const ExecutionPlan& a, const ExecutionPlan& b) {
   EXPECT_EQ(a.part_boundaries, b.part_boundaries);
   EXPECT_EQ(a.device_of_part, b.device_of_part);
   EXPECT_EQ(a.chunk_size, b.chunk_size);
-  EXPECT_EQ(a.pipeline_depth, b.pipeline_depth);
   EXPECT_EQ(a.planned, b.planned);
   EXPECT_EQ(a.DebugString(), b.DebugString());
 }
@@ -259,7 +258,6 @@ TEST(PlannerTest, ObservationsCalibrateTheCostModel) {
   MatchProfile delta;
   delta.match_s = 0.5;
   delta.select_s = 0.05;
-  delta.prepare_s = 0.01;
   delta.query_transfer_s = 0.02;
   model.ObserveExecution(delta, /*postings_scanned=*/1000000,
                          /*num_queries=*/64);

@@ -58,33 +58,6 @@ TEST(DeviceSetTest, AggregateStatsSumAcrossDevices) {
   EXPECT_EQ((*set)->aggregate_stats().kernel_launches, 0u);
 }
 
-TEST(DeviceSetTest, StagingLeaseAccountsPerDeviceAndAggregates) {
-  auto set = DeviceSet::Create(SmallSet(2));
-  ASSERT_TRUE(set.ok());
-
-  // A lease classifies already-allocated bytes as chunk staging; it is
-  // bookkeeping only (no allocation of its own).
-  {
-    StagingLease lease0((*set)->device(0), 256);
-    EXPECT_EQ((*set)->device(0)->staging_bytes(), 256u);
-    EXPECT_EQ((*set)->device(1)->staging_bytes(), 0u);
-    EXPECT_EQ((*set)->staging_bytes(), 256u);
-
-    // Moving a lease transfers the accounting exactly once.
-    StagingLease moved = std::move(lease0);
-    EXPECT_EQ((*set)->device(0)->staging_bytes(), 256u);
-
-    StagingLease lease1((*set)->device(1), 128);
-    EXPECT_EQ((*set)->staging_bytes(), 384u);
-    EXPECT_EQ((*set)->aggregate_stats().staging_bytes, 384u);
-    EXPECT_GE((*set)->aggregate_stats().peak_staging_bytes, 384u);
-  }
-  // Leases released: staging drained on both devices.
-  EXPECT_EQ((*set)->staging_bytes(), 0u);
-  EXPECT_EQ((*set)->device(0)->staging_bytes(), 0u);
-  EXPECT_EQ((*set)->device(1)->staging_bytes(), 0u);
-}
-
 }  // namespace
 }  // namespace sim
 }  // namespace genie
