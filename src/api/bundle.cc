@@ -382,33 +382,12 @@ Result<std::unique_ptr<Engine>> Engine::Open(const std::string& path,
   serialize::Reader* mutation =
       !mutation_blob.empty() ? &mutation_reader : nullptr;
   const plan::IndexStats* stats_ptr = have_stats ? &stats : nullptr;
-  Result<std::unique_ptr<Searcher>> searcher = [&] {
-    switch (modality) {
-      case Modality::kPoints:
-        return OpenPointsSearcher(config, &meta, mutation, std::move(index),
-                                  stats_ptr);
-      case Modality::kSets:
-        return OpenSetsSearcher(config, &meta, mutation, std::move(index),
-                                stats_ptr);
-      case Modality::kSequences:
-        return OpenSequencesSearcher(config, &meta, mutation,
-                                     std::move(index), stats_ptr);
-      case Modality::kDocuments:
-        return OpenDocumentsSearcher(config, &meta, mutation,
-                                     std::move(index), stats_ptr);
-      case Modality::kRelational:
-        return OpenRelationalSearcher(config, &meta, mutation,
-                                      std::move(index), stats_ptr);
-      case Modality::kCompiled:
-        return OpenCompiledSearcher(config, &meta, mutation,
-                                    std::move(index), stats_ptr);
-    }
-    return Result<std::unique_ptr<Searcher>>(
-        Status::InvalidArgument("unknown modality tag in bundle"));
-  }();
-  if (!searcher.ok()) return searcher.status();
+  GENIE_ASSIGN_OR_RETURN(
+      std::unique_ptr<Searcher> searcher,
+      OpenSearcher(modality, config, &meta, mutation, std::move(index),
+                   stats_ptr));
   return std::unique_ptr<Engine>(
-      new Engine(std::move(config), std::move(searcher).ValueOrDie()));
+      new Engine(std::move(config), std::move(searcher)));
 }
 
 }  // namespace genie

@@ -424,21 +424,9 @@ Result<std::unique_ptr<Engine>> Engine::Create(const EngineConfig& config) {
   }
   GENIE_RETURN_NOT_OK(ValidateCommonKnobs(config));
 
-  Result<std::unique_ptr<Searcher>> searcher = [&] {
-    switch (config.modality()) {
-      case Modality::kPoints: return MakePointsSearcher(config);
-      case Modality::kSets: return MakeSetsSearcher(config);
-      case Modality::kSequences: return MakeSequencesSearcher(config);
-      case Modality::kDocuments: return MakeDocumentsSearcher(config);
-      case Modality::kRelational: return MakeRelationalSearcher(config);
-      case Modality::kCompiled: return MakeCompiledSearcher(config);
-    }
-    return Result<std::unique_ptr<Searcher>>(
-        Status::InvalidArgument("unknown modality"));
-  }();
-  if (!searcher.ok()) return searcher.status();
-  return std::unique_ptr<Engine>(
-      new Engine(config, std::move(searcher).ValueOrDie()));
+  GENIE_ASSIGN_OR_RETURN(std::unique_ptr<Searcher> searcher,
+                         MakeSearcher(config));
+  return std::unique_ptr<Engine>(new Engine(config, std::move(searcher)));
 }
 
 Modality Engine::modality() const { return searcher_->modality(); }
@@ -646,7 +634,7 @@ Result<SearchResult> Engine::SearchStream(const SearchRequest& request,
   // successor (the look-ahead future is joined and the prepared chunk
   // destroyed) before the status is returned.
   struct PrepOutcome {
-    Result<std::unique_ptr<Searcher::PreparedChunk>> prepared{
+    Result<Searcher::PreparedChunk> prepared{
         Status::Internal("prepare never ran")};
     SteadyClock::time_point start{};
     SteadyClock::time_point end{};

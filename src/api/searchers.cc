@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
+#include <span>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/batch_scheduler.h"
 #include "core/engine_backend.h"
@@ -232,10 +237,6 @@ uint32_t KthLargestCount(const std::vector<Hit>& hits, uint32_t k) {
   return counts[k - 1];
 }
 
-// ---------------------------------------------------------------------------
-// Live mutation plumbing shared by the modality impls
-// ---------------------------------------------------------------------------
-
 delta::MutationOptions MutationOptionsFrom(const EngineConfig& config) {
   delta::MutationOptions options;
   options.seal_threshold = config.delta_seal_threshold();
@@ -254,180 +255,422 @@ MutationStats ToApiMutationStats(const delta::MutationStats& stats) {
   return out;
 }
 
-/// Lazily attached mutation state: a frozen engine pays nothing (no delta
-/// store, no compaction thread) until the first Insert/Remove creates the
-/// controller. Impls declare the host *after* their domain searcher so it
-/// is destroyed first — the compaction worker joins before the backend it
-/// compacts dies.
-class MutationHost {
+/// What a batch's execution hands from inside the execute critical section
+/// to the hit shaping outside it.
+struct Answers {
+  /// Per-query top-k straight from the backend.
+  std::vector<QueryResult> raw;
+  /// Per-query verified kNN (sequences: Algorithm 2 + escalation rounds).
+  std::vector<sa::SequenceSearchOutcome> verified;
+};
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// The per-modality hooks
+// ---------------------------------------------------------------------------
+
+/// Everything a modality supplies to the generic Searcher. Each
+/// implementation owns its domain searcher (and through it the backend) plus
+/// any appended side data.
+class Searcher::Hooks {
  public:
-  explicit MutationHost(delta::MutationOptions options)
-      : options_(std::move(options)) {}
+  virtual ~Hooks() = default;
 
-  /// The controller, created on first use against `backend` with id
-  /// watermark `base`.
-  delta::MutationController& Ensure(EngineBackend* backend, ObjectId base) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (controller_ == nullptr) {
-      controller_ = std::make_unique<delta::MutationController>(backend, base,
-                                                                options_);
+  virtual EngineBackend& backend() = 0;
+
+  /// Compiles the request's payload into one match-count query per request
+  /// query. Host-only; runs outside the execute critical section.
+  virtual Status Compile(const SearchRequest& request,
+                         std::vector<Query>* out) const = 0;
+
+  /// Answers a prepared chunk inside the execute critical section.
+  virtual Result<Answers> Answer(PreparedChunk& chunk) {
+    Answers answers;
+    GENIE_ASSIGN_OR_RETURN(answers.raw, backend().ExecuteBatch(chunk.compiled));
+    return answers;
+  }
+
+  /// Verification seconds so far, snapshotted beside the backend profile.
+  virtual double verify_seconds() const { return 0; }
+
+  /// Shapes answers into hits outside the critical section. Default: every
+  /// entry passes through, scored by its match count.
+  virtual void Shape(const SearchRequest& request, const Answers& answers,
+                     SearchResult* result) const {
+    (void)request;
+    result->queries.resize(answers.raw.size());
+    for (size_t q = 0; q < answers.raw.size(); ++q) {
+      QueryHits& out = result->queries[q];
+      out.hits.reserve(answers.raw[q].entries.size());
+      for (const TopKEntry& e : answers.raw[q].entries) {
+        out.hits.push_back(Hit{e.id, e.count, static_cast<double>(e.count)});
+      }
+      out.threshold = answers.raw[q].threshold;
     }
-    return *controller_;
   }
 
-  delta::MutationController* get() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return controller_.get();
-  }
-
-  bool mutated() const { return get() != nullptr; }
-
-  uint32_t NumObjects(uint32_t base) const {
-    delta::MutationController* controller = get();
-    return controller == nullptr
-               ? base
-               : static_cast<uint32_t>(controller->next_id());
-  }
-
-  Status Remove(std::span<const ObjectId> ids, EngineBackend* backend,
-                ObjectId base) {
-    // Removing base objects from a never-mutated engine is valid, so the
-    // controller is created here too.
-    delta::MutationController& controller = Ensure(backend, base);
-    for (ObjectId id : ids) GENIE_RETURN_NOT_OK(controller.Remove(id));
+  /// Rejects a malformed insert batch before any id is assigned.
+  virtual Status CheckInsert(const InsertRequest& request) const {
+    (void)request;
     return Status::OK();
   }
 
-  Status Flush() const {
-    delta::MutationController* controller = get();
-    return controller == nullptr ? Status::OK() : controller->Flush();
+  /// Keywords of the batch's object `i`, viewing `scratch` or the request.
+  /// Runs outside the mutation controller's state lock.
+  virtual std::span<const Keyword> InsertKeywords(
+      const InsertRequest& request, size_t i, std::vector<Keyword>* scratch) = 0;
+
+  /// Appends object `i`'s side data (a row or set to re-rank against, a
+  /// sequence to verify), if the modality keeps any; runs under the
+  /// mutation controller's state lock, atomically with the id assignment.
+  virtual void AppendSideData(const InsertRequest& request, size_t i) {
+    (void)request;
+    (void)i;
   }
 
-  MutationStats stats() const {
-    delta::MutationController* controller = get();
-    return controller == nullptr ? MutationStats{}
-                                 : ToApiMutationStats(controller->stats());
-  }
-
-  std::shared_ptr<void> Pause() const {
-    delta::MutationController* controller = get();
-    if (controller == nullptr) return nullptr;
-    return std::make_shared<delta::MutationController::Pause>(
-        controller->PauseMutation());
-  }
-
-  /// Writes the delta snapshot (segments + tombstones + watermark); the
-  /// caller appends its modality's side data after it.
-  Status SerializeDeltaState(serialize::Writer* writer) const {
-    delta::MutationController* controller = get();
-    if (controller == nullptr) {
-      return Status::Internal("serializing mutation state of a frozen engine");
-    }
-    delta::SerializeDelta(controller->delta_store()->snapshot(), writer);
+  /// u32 count + one item per appended object, each led by its u64 length;
+  /// nothing when the delta's keywords are the whole object.
+  virtual Status SerializeSideData(serialize::Writer* writer) const {
+    (void)writer;
     return Status::OK();
   }
 
-  /// Bundle-open path: adopts a restored delta snapshot. Must run before
-  /// the engine is visible to other threads.
-  void AdoptSnapshot(const delta::DeltaSnapshot& snap, EngineBackend* backend,
-                     ObjectId base) {
-    delta::MutationController& controller = Ensure(backend, base);
-    std::vector<ObjectId> tombstones = snap.tombstones == nullptr
-                                           ? std::vector<ObjectId>{}
-                                           : *snap.tombstones;
-    controller.delta_store()->Restore(snap.segments, std::move(tombstones),
-                                      snap.next_id);
+  virtual Status SerializeBundleMeta(serialize::Writer* writer) const = 0;
+};
+
+// ---------------------------------------------------------------------------
+// Searcher
+// ---------------------------------------------------------------------------
+
+Searcher::Searcher(Modality modality, std::unique_ptr<Hooks> hooks,
+                   uint32_t base_objects,
+                   delta::MutationOptions mutation_options)
+    : modality_(modality), hooks_(std::move(hooks)),
+      backend_(hooks_->backend()), base_objects_(base_objects),
+      mutation_options_(std::move(mutation_options)) {}
+
+Searcher::~Searcher() = default;
+
+uint32_t Searcher::num_objects() const {
+  delta::MutationController* controller = this->controller();
+  return controller == nullptr ? base_objects_
+                               : static_cast<uint32_t>(controller->next_id());
+}
+
+Result<SearchResult> Searcher::Search(const SearchRequest& request) {
+  GENIE_ASSIGN_OR_RETURN(PreparedChunk chunk, PrepareChunk(request));
+  return ExecutePrepared(std::move(chunk));
+}
+
+Result<Searcher::PreparedChunk> Searcher::PrepareChunk(
+    const SearchRequest& request) const {
+  PreparedChunk chunk;
+  chunk.request = request;
+  GENIE_RETURN_NOT_OK(hooks_->Compile(request, &chunk.compiled));
+  return chunk;
+}
+
+Result<SearchResult> Searcher::ExecutePrepared(PreparedChunk chunk) {
+  Answers answers;
+  BackendSnapshot before, after;
+  {
+    std::lock_guard<std::mutex> lock(execute_mu_);
+    before = Snapshot(backend_, hooks_->verify_seconds());
+    GENIE_ASSIGN_OR_RETURN(answers, hooks_->Answer(chunk));
+    after = Snapshot(backend_, hooks_->verify_seconds());
+  }
+  SearchResult result;
+  hooks_->Shape(chunk.request, answers, &result);
+  FillProfiles(&result, before, after);
+  return result;
+}
+
+uint32_t Searcher::DeriveChunkSize(const SearchRequest& request,
+                                   double memory_fraction) const {
+  if (modality_ != Modality::kCompiled) return 0;
+  const uint32_t max_count =
+      backend_.options().max_count > 0
+          ? backend_.options().max_count
+          : MatchEngine::DeriveMaxCount(request.compiled);
+  const uint64_t per_query = MatchEngine::DeviceBytesPerQuery(
+      backend_.index()->num_objects(), backend_.options(), max_count);
+  const EngineBackend::BatchBudget budget = backend_.batch_budget();
+  return DeriveLargeBatchSize(budget.capacity_bytes, budget.allocated_bytes,
+                              per_query, memory_fraction);
+}
+
+Status Searcher::SerializeBundleMeta(serialize::Writer* writer) const {
+  return hooks_->SerializeBundleMeta(writer);
+}
+
+std::shared_ptr<const InvertedIndex> Searcher::BundleIndex() const {
+  return backend_.index();
+}
+
+Result<std::vector<ObjectId>> Searcher::Insert(const InsertRequest& request) {
+  GENIE_RETURN_NOT_OK(hooks_->CheckInsert(request));
+  delta::MutationController& controller = EnsureController();
+  const size_t count = request.num_objects();
+  std::vector<ObjectId> ids;
+  ids.reserve(count);
+  std::vector<Keyword> scratch;
+  size_t i = 0;
+  const std::function<void(ObjectId)> append_side_data =
+      [&](ObjectId) { hooks_->AppendSideData(request, i); };
+  for (; i < count; ++i) {
+    const std::span<const Keyword> keywords =
+        hooks_->InsertKeywords(request, i, &scratch);
+    ids.push_back(controller.Insert(keywords, append_side_data));
+  }
+  return ids;
+}
+
+Status Searcher::Remove(std::span<const ObjectId> ids) {
+  // Removing base objects from a never-mutated engine is valid, so the
+  // controller is created here too.
+  delta::MutationController& controller = EnsureController();
+  for (ObjectId id : ids) GENIE_RETURN_NOT_OK(controller.Remove(id));
+  return Status::OK();
+}
+
+Status Searcher::Flush() {
+  delta::MutationController* controller = this->controller();
+  return controller == nullptr ? Status::OK() : controller->Flush();
+}
+
+MutationStats Searcher::mutation_stats() const {
+  delta::MutationController* controller = this->controller();
+  return controller == nullptr ? MutationStats{}
+                               : ToApiMutationStats(controller->stats());
+}
+
+std::string Searcher::ExplainPlan() const { return backend_.ExplainPlan(); }
+
+uint32_t Searcher::PlannedChunkSize() const {
+  const plan::ExecutionPlan plan = backend_.execution_plan();
+  return plan.planned ? plan.chunk_size : 0;
+}
+
+uint64_t Searcher::DataGeneration() const {
+  return backend_.data_generation();
+}
+
+std::shared_ptr<void> Searcher::PauseMutation() {
+  delta::MutationController* controller = this->controller();
+  if (controller == nullptr) return nullptr;
+  return std::make_shared<delta::MutationController::Pause>(
+      controller->PauseMutation());
+}
+
+Status Searcher::SerializeMutationState(serialize::Writer* writer) const {
+  delta::MutationController* controller = this->controller();
+  if (controller == nullptr) return Status::OK();
+  delta::SerializeDelta(controller->delta_store()->snapshot(), writer);
+  return hooks_->SerializeSideData(writer);
+}
+
+void Searcher::AdoptMutationState(const delta::DeltaSnapshot& snap) {
+  delta::MutationController& controller = EnsureController();
+  std::vector<ObjectId> tombstones = snap.tombstones == nullptr
+                                         ? std::vector<ObjectId>{}
+                                         : *snap.tombstones;
+  controller.delta_store()->Restore(snap.segments, std::move(tombstones),
+                                    snap.next_id);
+}
+
+delta::MutationController* Searcher::controller() const {
+  std::lock_guard<std::mutex> lock(controller_mu_);
+  return controller_.get();
+}
+
+delta::MutationController& Searcher::EnsureController() {
+  std::lock_guard<std::mutex> lock(controller_mu_);
+  if (controller_ == nullptr) {
+    controller_ = std::make_unique<delta::MutationController>(
+        &backend_, base_objects_, mutation_options_);
+  }
+  return *controller_;
+}
+
+namespace {
+
+// ---------------------------------------------------------------------------
+// Shared pieces of the modality hooks
+// ---------------------------------------------------------------------------
+
+/// Hit shaping of the LSH modalities: c/m similarity estimates (Eqn. 7),
+/// MC_k over the match-count order, then in re-rank mode the exact
+/// `score(query, id)` order, truncated to k.
+template <typename Score>
+void ShapeLshHits(const std::vector<QueryResult>& raw, double m, uint32_t k,
+                  bool rerank, const Score& score, SearchResult* result) {
+  result->queries.resize(raw.size());
+  for (size_t q = 0; q < raw.size(); ++q) {
+    QueryHits& out = result->queries[q];
+    out.hits.reserve(raw[q].entries.size());
+    for (const TopKEntry& e : raw[q].entries) {
+      out.hits.push_back(Hit{e.id, e.count, e.count / m});
+    }
+    // MC_k over the match-count ordering, before any re-rank disturbs it.
+    out.threshold = ThresholdOf(out.hits, k);
+    if (rerank) {
+      for (Hit& hit : out.hits) hit.score = score(q, hit.id);
+      std::sort(out.hits.begin(), out.hits.end(),
+                [](const Hit& a, const Hit& b) { return a.score > b.score; });
+    }
+    if (out.hits.size() > k) out.hits.resize(k);
+  }
+}
+
+/// Side data of inserted objects (rows or sets to re-rank against), in id
+/// order after the base dataset. A span from At survives the unlock: a
+/// growing outer vector moves the inner vectors but never their heap
+/// buffers, and appended items are immutable.
+template <typename T>
+class AppendLog {
+ public:
+  explicit AppendLog(std::vector<std::vector<T>> items)
+      : items_(std::move(items)) {}
+
+  void Append(std::span<const T> item) {
+    std::lock_guard<std::shared_mutex> lock(mu_);
+    items_.emplace_back(item.begin(), item.end());
+  }
+
+  std::span<const T> At(size_t i) const {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    return std::span<const T>(items_[i].data(), items_[i].size());
+  }
+
+  void Serialize(serialize::Writer* writer) const {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    writer->U32(static_cast<uint32_t>(items_.size()));
+    for (const std::vector<T>& item : items_) writer->Vec(item);
   }
 
  private:
-  delta::MutationOptions options_;
-  mutable std::mutex mu_;
-  std::unique_ptr<delta::MutationController> controller_;
+  mutable std::shared_mutex mu_;
+  std::vector<std::vector<T>> items_;
 };
 
-/// Reads the v2 mutation section's delta snapshot through a staging store.
-Result<delta::DeltaSnapshot> ReadDeltaSnapshot(serialize::Reader* mutation) {
+/// A bundle's mutation section as the open path restores it.
+struct RestoredDelta {
+  /// Absent for a frozen engine.
+  std::optional<delta::DeltaSnapshot> snap;
+  /// Objects inserted after the base dataset.
+  uint32_t appended = 0;
+};
+
+/// Reads one appended object's side data from the mutation section.
+using ReadSideItem = std::function<Status(serialize::Reader*)>;
+
+/// Reads a v2 mutation section (`mutation` nullptr: a frozen engine): the
+/// delta snapshot, then for modalities with side data a u32 count and one
+/// `read_item` per appended object, then checks the id watermark against
+/// the `base` objects of the saved dataset.
+Result<RestoredDelta> ReadMutationSection(serialize::Reader* mutation,
+                                          uint32_t base,
+                                          const ReadSideItem& read_item) {
+  RestoredDelta restored;
+  if (mutation == nullptr) return restored;
   delta::DeltaStore staged(0, 1);
   GENIE_RETURN_NOT_OK(delta::DeserializeDelta(mutation, &staged));
-  return staged.snapshot();
+  const delta::DeltaSnapshot& snap = restored.snap.emplace(staged.snapshot());
+  if (!read_item) {
+    GENIE_RETURN_NOT_OK(mutation->ExpectEnd());
+    // Without side data the watermark alone tells how many objects were
+    // appended.
+    if (snap.next_id < base) {
+      return Status::InvalidArgument(
+          "bundle mutation watermark is below the saved object count");
+    }
+    restored.appended = snap.next_id - base;
+    return restored;
+  }
+  uint32_t count = 0;
+  GENIE_RETURN_NOT_OK(mutation->U32(&count));
+  // Every item starts with a u64 length prefix, so a count the remaining
+  // bytes cannot hold is forged; reject it before reading any item.
+  if (count > mutation->remaining() / sizeof(uint64_t)) {
+    return Status::InvalidArgument(
+        "bundle mutation side-data count exceeds the section");
+  }
+  for (uint32_t i = 0; i < count; ++i) {
+    GENIE_RETURN_NOT_OK(read_item(mutation));
+  }
+  GENIE_RETURN_NOT_OK(mutation->ExpectEnd());
+  if (snap.next_id != static_cast<uint64_t>(base) + count) {
+    return Status::InvalidArgument(
+        "bundle mutation watermark does not match its appended side data");
+  }
+  restored.appended = count;
+  return restored;
+}
+
+std::unique_ptr<Searcher> Assemble(Modality modality,
+                                   std::unique_ptr<Searcher::Hooks> hooks,
+                                   uint32_t base, const EngineConfig& config,
+                                   const RestoredDelta& restored = {}) {
+  auto searcher = std::make_unique<Searcher>(modality, std::move(hooks), base,
+                                             MutationOptionsFrom(config));
+  if (restored.snap.has_value()) searcher->AdoptMutationState(*restored.snap);
+  return searcher;
 }
 
 // ---------------------------------------------------------------------------
 // Points (tau-ANN under an LSH family, Section IV)
 // ---------------------------------------------------------------------------
 
-class PointsSearcherImpl : public Searcher {
+class PointsHooks final : public Searcher::Hooks {
  public:
-  PointsSearcherImpl(const data::PointMatrix* points,
-                     std::unique_ptr<lsh::LshSearcher> searcher, uint32_t k,
-                     bool rerank, uint32_t p,
-                     delta::MutationOptions mutation_options)
-      : points_(points), searcher_(std::move(searcher)), k_(k),
-        rerank_(rerank), p_(p), host_(std::move(mutation_options)) {}
+  PointsHooks(const EngineConfig& config,
+              std::unique_ptr<lsh::LshSearcher> searcher,
+              std::vector<std::vector<float>> appended_rows = {})
+      : points_(config.points()), searcher_(std::move(searcher)),
+        k_(config.k()), rerank_(config.exact_rerank()), p_(config.metric_p()),
+        appended_(std::move(appended_rows)) {}
 
-  Modality modality() const override { return Modality::kPoints; }
-  uint32_t num_objects() const override {
-    return host_.NumObjects(points_->num_points());
-  }
+  EngineBackend& backend() override { return searcher_->backend(); }
 
-  Result<SearchResult> Search(const SearchRequest& request) override {
-    GENIE_ASSIGN_OR_RETURN(std::unique_ptr<PreparedChunk> chunk,
-                           PrepareChunk(request));
-    return ExecutePrepared(std::move(chunk));
-  }
-
-  struct Prepared : PreparedChunk {
-    lsh::LshSearcher::PreparedBatch batch;
-  };
-
-  Result<std::unique_ptr<PreparedChunk>> PrepareChunk(
-      const SearchRequest& request) override {
-    auto chunk = std::make_unique<Prepared>();
-    chunk->request = request;
-    GENIE_ASSIGN_OR_RETURN(chunk->batch, searcher_->Prepare(*request.points));
-    return std::unique_ptr<PreparedChunk>(std::move(chunk));
-  }
-
-  Result<SearchResult> ExecutePrepared(
-      std::unique_ptr<PreparedChunk> chunk) override {
-    auto* prepared = static_cast<Prepared*>(chunk.get());
-    const SearchRequest& request = prepared->request;
-    std::vector<std::vector<lsh::AnnMatch>> matches;
-    BackendSnapshot before, after;
-    {
-      // Critical section: the backend execution and its profile
-      // bookkeeping. Re-ranking and hit shaping below run outside it.
-      std::lock_guard<std::mutex> lock(mu_);
-      before = Snapshot(searcher_->backend());
-      GENIE_ASSIGN_OR_RETURN(
-          matches, searcher_->ExecutePrepared(std::move(prepared->batch)));
-      after = Snapshot(searcher_->backend());
+  Status Compile(const SearchRequest& request,
+                 std::vector<Query>* out) const override {
+    const data::PointMatrix& queries = *request.points;
+    out->resize(queries.num_points());
+    for (uint32_t i = 0; i < queries.num_points(); ++i) {
+      (*out)[i] = searcher_->transformer().MakeQuery(queries.row(i));
     }
-    SearchResult result;
-    result.queries.resize(matches.size());
-    for (size_t q = 0; q < matches.size(); ++q) {
-      QueryHits& out = result.queries[q];
-      out.hits.reserve(matches[q].size());
-      for (const lsh::AnnMatch& m : matches[q]) {
-        out.hits.push_back(Hit{m.id, m.match_count, m.estimated_similarity});
-      }
-      // MC_k over the match-count ordering, before any re-rank disturbs it.
-      out.threshold = ThresholdOf(out.hits, k_);
-      if (rerank_) {
-        const auto query_row = request.points->row(static_cast<uint32_t>(q));
-        for (Hit& hit : out.hits) {
-          const double d =
-              p_ == 1 ? data::L1Distance(RowAt(hit.id), query_row)
-                      : data::L2Distance(RowAt(hit.id), query_row);
-          hit.score = -d;
-        }
-        std::sort(out.hits.begin(), out.hits.end(),
-                  [](const Hit& a, const Hit& b) { return a.score > b.score; });
-      }
-      if (out.hits.size() > k_) out.hits.resize(k_);
-    }
-    FillProfiles(&result, before, after);
-    return result;
+    return Status::OK();
+  }
+
+  void Shape(const SearchRequest& request, const Answers& answers,
+             SearchResult* result) const override {
+    ShapeLshHits(
+        answers.raw, searcher_->transformer().family().num_functions(), k_,
+        rerank_,
+        [&](size_t q, ObjectId id) {
+          const auto query_row = request.points->row(static_cast<uint32_t>(q));
+          return -(p_ == 1 ? data::L1Distance(RowAt(id), query_row)
+                           : data::L2Distance(RowAt(id), query_row));
+        },
+        result);
+  }
+
+  std::span<const Keyword> InsertKeywords(
+      const InsertRequest& request, size_t i,
+      std::vector<Keyword>* scratch) override {
+    *scratch = searcher_->transformer().Transform(
+        request.points->row(static_cast<uint32_t>(i)));
+    return *scratch;
+  }
+
+  void AppendSideData(const InsertRequest& request, size_t i) override {
+    appended_.Append(request.points->row(static_cast<uint32_t>(i)));
+  }
+
+  Status SerializeSideData(serialize::Writer* writer) const override {
+    appended_.Serialize(writer);
+    return Status::OK();
   }
 
   Status SerializeBundleMeta(serialize::Writer* writer) const override {
@@ -450,826 +693,30 @@ class PointsSearcherImpl : public Searcher {
     return Status::OK();
   }
 
-  std::shared_ptr<const InvertedIndex> BundleIndex() const override {
-    // A compaction may have swapped the backend's index; the searcher's
-    // member still points at the build-time one.
-    return searcher_->backend().index();
-  }
-
-  Result<std::vector<ObjectId>> Insert(const InsertRequest& request) override {
-    const data::PointMatrix& batch = *request.points;
-    delta::MutationController& controller =
-        host_.Ensure(&searcher_->backend(), points_->num_points());
-    std::vector<ObjectId> ids;
-    ids.reserve(batch.num_points());
-    for (uint32_t i = 0; i < batch.num_points(); ++i) {
-      const std::span<const float> row = batch.row(i);
-      // Keyword extraction stays outside the controller's state lock.
-      std::vector<Keyword> keywords = searcher_->transformer().Transform(row);
-      ids.push_back(controller.Insert(keywords, [&](ObjectId) {
-        std::lock_guard<std::shared_mutex> lock(data_mu_);
-        appended_rows_.emplace_back(row.begin(), row.end());
-      }));
-    }
-    return ids;
-  }
-
-  Status Remove(std::span<const ObjectId> ids) override {
-    return host_.Remove(ids, &searcher_->backend(), points_->num_points());
-  }
-
-  Status Flush() override { return host_.Flush(); }
-  MutationStats mutation_stats() const override { return host_.stats(); }
-  std::shared_ptr<void> PauseMutation() override { return host_.Pause(); }
-  std::string ExplainPlan() const override {
-    return searcher_->backend().ExplainPlan();
-  }
-
-  uint32_t PlannedChunkSize() const override {
-    const plan::ExecutionPlan plan = searcher_->backend().execution_plan();
-    return plan.planned ? plan.chunk_size : 0;
-  }
-
-  uint64_t DataGeneration() const override {
-    return searcher_->backend().data_generation();
-  }
-
-  Status SerializeMutationState(serialize::Writer* writer) const override {
-    if (!host_.mutated()) return Status::OK();
-    GENIE_RETURN_NOT_OK(host_.SerializeDeltaState(writer));
-    std::shared_lock<std::shared_mutex> lock(data_mu_);
-    writer->U32(static_cast<uint32_t>(appended_rows_.size()));
-    for (const std::vector<float>& row : appended_rows_) writer->Vec(row);
-    return Status::OK();
-  }
-
-  /// Bundle-open: adopt the restored delta snapshot + appended rows before
-  /// the engine is visible to other threads.
-  void AdoptMutationState(const delta::DeltaSnapshot& snap,
-                          std::vector<std::vector<float>> rows) {
-    {
-      std::lock_guard<std::shared_mutex> lock(data_mu_);
-      appended_rows_ = std::move(rows);
-    }
-    host_.AdoptSnapshot(snap, &searcher_->backend(), points_->num_points());
-  }
-
  private:
-  /// The row of any live id: base rows from the bound dataset, inserted
-  /// rows from the append-only log. The span survives the unlock — a
-  /// growing outer vector moves the inner vectors but never their heap
-  /// buffers, and appended rows are immutable.
   std::span<const float> RowAt(uint32_t id) const {
-    if (id < points_->num_points()) return points_->row(id);
-    std::shared_lock<std::shared_mutex> lock(data_mu_);
-    const std::vector<float>& row = appended_rows_[id - points_->num_points()];
-    return std::span<const float>(row.data(), row.size());
+    return id < points_->num_points()
+               ? points_->row(id)
+               : appended_.At(id - points_->num_points());
   }
 
   const data::PointMatrix* points_;
   std::unique_ptr<lsh::LshSearcher> searcher_;
-  std::mutex mu_;
   uint32_t k_;
   bool rerank_;
   uint32_t p_;
-  // Declared after searcher_: destroyed first, joining the compaction
-  // worker before the backend it compacts dies.
-  MutationHost host_;
-  mutable std::shared_mutex data_mu_;
-  std::vector<std::vector<float>> appended_rows_;
+  AppendLog<float> appended_;
 };
 
-// ---------------------------------------------------------------------------
-// Sets (Jaccard via MinHash, Section II-B1)
-// ---------------------------------------------------------------------------
-
-class SetsSearcherImpl : public Searcher {
- public:
-  SetsSearcherImpl(const std::vector<std::vector<uint32_t>>* sets,
-                   std::shared_ptr<const lsh::SetLshFamily> family,
-                   std::unique_ptr<lsh::SetLshSearcher> searcher, uint32_t k,
-                   bool rerank, delta::MutationOptions mutation_options)
-      : sets_(sets), family_(std::move(family)), searcher_(std::move(searcher)),
-        k_(k), rerank_(rerank), host_(std::move(mutation_options)) {}
-
-  Modality modality() const override { return Modality::kSets; }
-  uint32_t num_objects() const override {
-    return host_.NumObjects(static_cast<uint32_t>(sets_->size()));
-  }
-
-  Result<SearchResult> Search(const SearchRequest& request) override {
-    GENIE_ASSIGN_OR_RETURN(std::unique_ptr<PreparedChunk> chunk,
-                           PrepareChunk(request));
-    return ExecutePrepared(std::move(chunk));
-  }
-
-  struct Prepared : PreparedChunk {
-    lsh::SetLshSearcher::PreparedBatch batch;
-  };
-
-  Result<std::unique_ptr<PreparedChunk>> PrepareChunk(
-      const SearchRequest& request) override {
-    auto chunk = std::make_unique<Prepared>();
-    chunk->request = request;
-    GENIE_ASSIGN_OR_RETURN(chunk->batch, searcher_->Prepare(request.sets));
-    return std::unique_ptr<PreparedChunk>(std::move(chunk));
-  }
-
-  Result<SearchResult> ExecutePrepared(
-      std::unique_ptr<PreparedChunk> chunk) override {
-    auto* prepared = static_cast<Prepared*>(chunk.get());
-    const SearchRequest& request = prepared->request;
-    std::vector<std::vector<lsh::AnnMatch>> matches;
-    BackendSnapshot before, after;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      before = Snapshot(searcher_->backend());
-      GENIE_ASSIGN_OR_RETURN(
-          matches, searcher_->ExecutePrepared(std::move(prepared->batch)));
-      after = Snapshot(searcher_->backend());
-    }
-    SearchResult result;
-    result.queries.resize(matches.size());
-    for (size_t q = 0; q < matches.size(); ++q) {
-      QueryHits& out = result.queries[q];
-      out.hits.reserve(matches[q].size());
-      for (const lsh::AnnMatch& m : matches[q]) {
-        out.hits.push_back(Hit{m.id, m.match_count, m.estimated_similarity});
-      }
-      // MC_k over the match-count ordering, before any re-rank disturbs it.
-      out.threshold = ThresholdOf(out.hits, k_);
-      if (rerank_) {
-        for (Hit& hit : out.hits) {
-          hit.score =
-              family_->CollisionProbability(SetAt(hit.id), request.sets[q]);
-        }
-        std::sort(out.hits.begin(), out.hits.end(),
-                  [](const Hit& a, const Hit& b) { return a.score > b.score; });
-      }
-      if (out.hits.size() > k_) out.hits.resize(k_);
-    }
-    FillProfiles(&result, before, after);
-    return result;
-  }
-
-  Status SerializeBundleMeta(serialize::Writer* writer) const override {
-    const auto* min_hash =
-        dynamic_cast<const lsh::MinHashFamily*>(family_.get());
-    if (min_hash == nullptr) {
-      return Status::Unimplemented(
-          "only engines over the built-in MinHash family support Save");
-    }
-    writer->U8(kSetFamilyMinHash);
-    min_hash->Serialize(writer);
-    const lsh::LshTransformOptions& transform =
-        searcher_->transform_options();
-    writer->U32(transform.rehash_domain);
-    writer->U64(transform.seed);
-    writer->U8(transform.rehash ? 1 : 0);
-    writer->Vec(searcher_->rehash_seeds());
-    writer->U32(static_cast<uint32_t>(sets_->size()));
-    return Status::OK();
-  }
-
-  std::shared_ptr<const InvertedIndex> BundleIndex() const override {
-    return searcher_->backend().index();
-  }
-
-  Result<std::vector<ObjectId>> Insert(const InsertRequest& request) override {
-    delta::MutationController& controller = host_.Ensure(
-        &searcher_->backend(), static_cast<ObjectId>(sets_->size()));
-    std::vector<ObjectId> ids;
-    ids.reserve(request.sets.size());
-    for (const std::vector<uint32_t>& set : request.sets) {
-      std::vector<Keyword> keywords = searcher_->Transform(set);
-      ids.push_back(controller.Insert(keywords, [&](ObjectId) {
-        std::lock_guard<std::shared_mutex> lock(data_mu_);
-        appended_sets_.push_back(set);
-      }));
-    }
-    return ids;
-  }
-
-  Status Remove(std::span<const ObjectId> ids) override {
-    return host_.Remove(ids, &searcher_->backend(),
-                        static_cast<ObjectId>(sets_->size()));
-  }
-
-  Status Flush() override { return host_.Flush(); }
-  MutationStats mutation_stats() const override { return host_.stats(); }
-  std::shared_ptr<void> PauseMutation() override { return host_.Pause(); }
-  std::string ExplainPlan() const override {
-    return searcher_->backend().ExplainPlan();
-  }
-
-  uint32_t PlannedChunkSize() const override {
-    const plan::ExecutionPlan plan = searcher_->backend().execution_plan();
-    return plan.planned ? plan.chunk_size : 0;
-  }
-
-  uint64_t DataGeneration() const override {
-    return searcher_->backend().data_generation();
-  }
-
-  Status SerializeMutationState(serialize::Writer* writer) const override {
-    if (!host_.mutated()) return Status::OK();
-    GENIE_RETURN_NOT_OK(host_.SerializeDeltaState(writer));
-    std::shared_lock<std::shared_mutex> lock(data_mu_);
-    writer->U32(static_cast<uint32_t>(appended_sets_.size()));
-    for (const std::vector<uint32_t>& set : appended_sets_) writer->Vec(set);
-    return Status::OK();
-  }
-
-  void AdoptMutationState(const delta::DeltaSnapshot& snap,
-                          std::vector<std::vector<uint32_t>> sets) {
-    {
-      std::lock_guard<std::shared_mutex> lock(data_mu_);
-      appended_sets_ = std::move(sets);
-    }
-    host_.AdoptSnapshot(snap, &searcher_->backend(),
-                        static_cast<ObjectId>(sets_->size()));
-  }
-
- private:
-  /// The elements of any live id (see PointsSearcherImpl::RowAt for why
-  /// the span survives the unlock).
-  std::span<const uint32_t> SetAt(uint32_t id) const {
-    if (id < sets_->size()) return (*sets_)[id];
-    std::shared_lock<std::shared_mutex> lock(data_mu_);
-    const std::vector<uint32_t>& set = appended_sets_[id - sets_->size()];
-    return std::span<const uint32_t>(set.data(), set.size());
-  }
-
-  const std::vector<std::vector<uint32_t>>* sets_;
-  std::shared_ptr<const lsh::SetLshFamily> family_;
-  std::unique_ptr<lsh::SetLshSearcher> searcher_;
-  std::mutex mu_;
-  uint32_t k_;
-  bool rerank_;
-  MutationHost host_;
-  mutable std::shared_mutex data_mu_;
-  std::vector<std::vector<uint32_t>> appended_sets_;
-};
-
-// ---------------------------------------------------------------------------
-// Sequences (edit distance via ordered n-grams, Section V-A)
-// ---------------------------------------------------------------------------
-
-class SequencesSearcherImpl : public Searcher {
- public:
-  SequencesSearcherImpl(const std::vector<std::string>* sequences,
-                        std::unique_ptr<sa::SequenceSearcher> searcher,
-                        uint32_t k, delta::MutationOptions mutation_options)
-      : sequences_(sequences), searcher_(std::move(searcher)), k_(k),
-        host_(std::move(mutation_options)) {}
-
-  Modality modality() const override { return Modality::kSequences; }
-  uint32_t num_objects() const override {
-    return host_.NumObjects(static_cast<uint32_t>(sequences_->size()));
-  }
-
-  Result<SearchResult> Search(const SearchRequest& request) override {
-    GENIE_ASSIGN_OR_RETURN(std::unique_ptr<PreparedChunk> chunk,
-                           PrepareChunk(request));
-    return ExecutePrepared(std::move(chunk));
-  }
-
-  struct Prepared : PreparedChunk {
-    sa::SequenceSearcher::PreparedBatch batch;
-  };
-
-  Result<std::unique_ptr<PreparedChunk>> PrepareChunk(
-      const SearchRequest& request) override {
-    auto chunk = std::make_unique<Prepared>();
-    chunk->request = request;
-    GENIE_ASSIGN_OR_RETURN(chunk->batch,
-                           searcher_->Prepare(request.sequences));
-    return std::unique_ptr<PreparedChunk>(std::move(chunk));
-  }
-
-  Result<SearchResult> ExecutePrepared(
-      std::unique_ptr<PreparedChunk> chunk) override {
-    auto* prepared = static_cast<Prepared*>(chunk.get());
-    const SearchRequest& request = prepared->request;
-    std::vector<sa::SequenceSearchOutcome> outcomes;
-    BackendSnapshot before, after;
-    {
-      // Verification (Algorithm 2) — and any escalation rounds — happen
-      // inside ExecutePrepared, so the verify-seconds bookkeeping shares
-      // the critical section.
-      std::lock_guard<std::mutex> lock(mu_);
-      before = Snapshot(searcher_->backend(), searcher_->verify_seconds());
-      GENIE_ASSIGN_OR_RETURN(
-          outcomes, searcher_->ExecutePrepared(request.sequences,
-                                               std::move(prepared->batch)));
-      after = Snapshot(searcher_->backend(), searcher_->verify_seconds());
-    }
-    SearchResult result;
-    result.queries.resize(outcomes.size());
-    for (size_t q = 0; q < outcomes.size(); ++q) {
-      QueryHits& out = result.queries[q];
-      out.hits.reserve(outcomes[q].knn.size());
-      for (const sa::SequenceMatch& m : outcomes[q].knn) {
-        out.hits.push_back(Hit{m.id, m.match_count,
-                               -static_cast<double>(m.edit_distance)});
-      }
-      // Hits are ordered by edit distance; MC_k comes from their counts.
-      out.threshold = KthLargestCount(out.hits, k_);
-      out.certified_exact = outcomes[q].certified_exact;
-      out.rounds = outcomes[q].rounds;
-    }
-    FillProfiles(&result, before, after);
-    return result;
-  }
-
-  Status SerializeBundleMeta(serialize::Writer* writer) const override {
-    writer->U32(searcher_->ngram());
-    GENIE_RETURN_NOT_OK(searcher_->SerializeVocabulary(writer));
-    writer->U32(static_cast<uint32_t>(sequences_->size()));
-    return Status::OK();
-  }
-
-  std::shared_ptr<const InvertedIndex> BundleIndex() const override {
-    return searcher_->backend().index();
-  }
-
-  Result<std::vector<ObjectId>> Insert(const InsertRequest& request) override {
-    delta::MutationController& controller = host_.Ensure(
-        &searcher_->backend(), static_cast<ObjectId>(sequences_->size()));
-    std::vector<ObjectId> ids;
-    ids.reserve(request.sequences.size());
-    for (const std::string& sequence : request.sequences) {
-      // Grows the n-gram vocabulary before the controller's state lock;
-      // harmless if the insert then fails (the frozen index maps unknown
-      // keywords to empty lists).
-      std::vector<Keyword> keywords = searcher_->ExtractKeywords(sequence);
-      ids.push_back(controller.Insert(keywords, [&](ObjectId) {
-        searcher_->AppendSequence(sequence);
-      }));
-    }
-    return ids;
-  }
-
-  Status Remove(std::span<const ObjectId> ids) override {
-    return host_.Remove(ids, &searcher_->backend(),
-                        static_cast<ObjectId>(sequences_->size()));
-  }
-
-  Status Flush() override { return host_.Flush(); }
-  MutationStats mutation_stats() const override { return host_.stats(); }
-  std::shared_ptr<void> PauseMutation() override { return host_.Pause(); }
-  std::string ExplainPlan() const override {
-    return searcher_->backend().ExplainPlan();
-  }
-
-  uint32_t PlannedChunkSize() const override {
-    const plan::ExecutionPlan plan = searcher_->backend().execution_plan();
-    return plan.planned ? plan.chunk_size : 0;
-  }
-
-  uint64_t DataGeneration() const override {
-    return searcher_->backend().data_generation();
-  }
-
-  Status SerializeMutationState(serialize::Writer* writer) const override {
-    if (!host_.mutated()) return Status::OK();
-    GENIE_RETURN_NOT_OK(host_.SerializeDeltaState(writer));
-    return searcher_->SerializeAppended(writer);
-  }
-
-  void AdoptMutationState(const delta::DeltaSnapshot& snap,
-                          std::vector<std::string> appended) {
-    for (std::string& sequence : appended) {
-      searcher_->AppendSequence(std::move(sequence));
-    }
-    host_.AdoptSnapshot(snap, &searcher_->backend(),
-                        static_cast<ObjectId>(sequences_->size()));
-  }
-
- private:
-  const std::vector<std::string>* sequences_;
-  std::unique_ptr<sa::SequenceSearcher> searcher_;
-  std::mutex mu_;
-  uint32_t k_;
-  MutationHost host_;
-};
-
-// ---------------------------------------------------------------------------
-// Documents (inner product on word sets, Section V-B)
-// ---------------------------------------------------------------------------
-
-class DocumentsSearcherImpl : public Searcher {
- public:
-  DocumentsSearcherImpl(const std::vector<std::vector<uint32_t>>* documents,
-                        std::unique_ptr<sa::DocumentSearcher> searcher,
-                        delta::MutationOptions mutation_options)
-      : documents_(documents), searcher_(std::move(searcher)),
-        host_(std::move(mutation_options)) {}
-
-  Modality modality() const override { return Modality::kDocuments; }
-  uint32_t num_objects() const override {
-    return host_.NumObjects(static_cast<uint32_t>(documents_->size()));
-  }
-
-  Result<SearchResult> Search(const SearchRequest& request) override {
-    GENIE_ASSIGN_OR_RETURN(std::unique_ptr<PreparedChunk> chunk,
-                           PrepareChunk(request));
-    return ExecutePrepared(std::move(chunk));
-  }
-
-  struct Prepared : PreparedChunk {
-    sa::DocumentSearcher::PreparedBatch batch;
-  };
-
-  Result<std::unique_ptr<PreparedChunk>> PrepareChunk(
-      const SearchRequest& request) override {
-    auto chunk = std::make_unique<Prepared>();
-    chunk->request = request;
-    GENIE_ASSIGN_OR_RETURN(chunk->batch,
-                           searcher_->Prepare(request.documents));
-    return std::unique_ptr<PreparedChunk>(std::move(chunk));
-  }
-
-  Result<SearchResult> ExecutePrepared(
-      std::unique_ptr<PreparedChunk> chunk) override {
-    auto* prepared = static_cast<Prepared*>(chunk.get());
-    std::vector<QueryResult> raw;
-    BackendSnapshot before, after;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      before = Snapshot(searcher_->backend());
-      GENIE_ASSIGN_OR_RETURN(
-          raw, searcher_->ExecutePrepared(std::move(prepared->batch)));
-      after = Snapshot(searcher_->backend());
-    }
-    SearchResult result;
-    result.queries.resize(raw.size());
-    for (size_t q = 0; q < raw.size(); ++q) {
-      QueryHits& out = result.queries[q];
-      out.hits.reserve(raw[q].entries.size());
-      for (const TopKEntry& e : raw[q].entries) {
-        out.hits.push_back(Hit{e.id, e.count, static_cast<double>(e.count)});
-      }
-      out.threshold = raw[q].threshold;
-    }
-    FillProfiles(&result, before, after);
-    return result;
-  }
-
-  Status SerializeBundleMeta(serialize::Writer* writer) const override {
-    writer->U32(searcher_->vocab_size());
-    writer->U32(static_cast<uint32_t>(documents_->size()));
-    return Status::OK();
-  }
-
-  std::shared_ptr<const InvertedIndex> BundleIndex() const override {
-    return searcher_->backend().index();
-  }
-
-  Result<std::vector<ObjectId>> Insert(const InsertRequest& request) override {
-    delta::MutationController& controller = host_.Ensure(
-        &searcher_->backend(), static_cast<ObjectId>(documents_->size()));
-    std::vector<ObjectId> ids;
-    ids.reserve(request.documents.size());
-    for (const std::vector<uint32_t>& doc : request.documents) {
-      // Documents need no side data: the match count is the whole answer,
-      // so only the keywords (deduped tokens) are retained, in the delta.
-      std::vector<Keyword> keywords = searcher_->ExtractKeywords(doc);
-      ids.push_back(controller.Insert(keywords));
-    }
-    return ids;
-  }
-
-  Status Remove(std::span<const ObjectId> ids) override {
-    return host_.Remove(ids, &searcher_->backend(),
-                        static_cast<ObjectId>(documents_->size()));
-  }
-
-  Status Flush() override { return host_.Flush(); }
-  MutationStats mutation_stats() const override { return host_.stats(); }
-  std::shared_ptr<void> PauseMutation() override { return host_.Pause(); }
-
-  std::string ExplainPlan() const override {
-    return searcher_->backend().ExplainPlan();
-  }
-
-  uint32_t PlannedChunkSize() const override {
-    const plan::ExecutionPlan plan = searcher_->backend().execution_plan();
-    return plan.planned ? plan.chunk_size : 0;
-  }
-
-  uint64_t DataGeneration() const override {
-    return searcher_->backend().data_generation();
-  }
-
-  Status SerializeMutationState(serialize::Writer* writer) const override {
-    if (!host_.mutated()) return Status::OK();
-    return host_.SerializeDeltaState(writer);
-  }
-
-  void AdoptMutationState(const delta::DeltaSnapshot& snap) {
-    host_.AdoptSnapshot(snap, &searcher_->backend(),
-                        static_cast<ObjectId>(documents_->size()));
-  }
-
- private:
-  const std::vector<std::vector<uint32_t>>* documents_;
-  std::unique_ptr<sa::DocumentSearcher> searcher_;
-  std::mutex mu_;
-  MutationHost host_;
-};
-
-// ---------------------------------------------------------------------------
-// Relational (top-k selection on range predicates, Section V-C)
-// ---------------------------------------------------------------------------
-
-class RelationalSearcherImpl : public Searcher {
- public:
-  RelationalSearcherImpl(const sa::RelationalTable* table,
-                         std::unique_ptr<sa::RelationalSearcher> searcher,
-                         delta::MutationOptions mutation_options)
-      : table_(table), searcher_(std::move(searcher)),
-        host_(std::move(mutation_options)) {}
-
-  Modality modality() const override { return Modality::kRelational; }
-  uint32_t num_objects() const override {
-    return host_.NumObjects(table_->num_rows());
-  }
-
-  Result<SearchResult> Search(const SearchRequest& request) override {
-    GENIE_ASSIGN_OR_RETURN(std::unique_ptr<PreparedChunk> chunk,
-                           PrepareChunk(request));
-    return ExecutePrepared(std::move(chunk));
-  }
-
-  struct Prepared : PreparedChunk {
-    sa::RelationalSearcher::PreparedBatch batch;
-  };
-
-  Result<std::unique_ptr<PreparedChunk>> PrepareChunk(
-      const SearchRequest& request) override {
-    auto chunk = std::make_unique<Prepared>();
-    chunk->request = request;
-    GENIE_ASSIGN_OR_RETURN(chunk->batch, searcher_->Prepare(request.ranges));
-    return std::unique_ptr<PreparedChunk>(std::move(chunk));
-  }
-
-  Result<SearchResult> ExecutePrepared(
-      std::unique_ptr<PreparedChunk> chunk) override {
-    auto* prepared = static_cast<Prepared*>(chunk.get());
-    std::vector<QueryResult> raw;
-    BackendSnapshot before, after;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      before = Snapshot(searcher_->backend());
-      GENIE_ASSIGN_OR_RETURN(
-          raw, searcher_->ExecutePrepared(std::move(prepared->batch)));
-      after = Snapshot(searcher_->backend());
-    }
-    SearchResult result;
-    result.queries.resize(raw.size());
-    for (size_t q = 0; q < raw.size(); ++q) {
-      QueryHits& out = result.queries[q];
-      out.hits.reserve(raw[q].entries.size());
-      for (const TopKEntry& e : raw[q].entries) {
-        out.hits.push_back(Hit{e.id, e.count, static_cast<double>(e.count)});
-      }
-      out.threshold = raw[q].threshold;
-    }
-    FillProfiles(&result, before, after);
-    return result;
-  }
-
-  Status SerializeBundleMeta(serialize::Writer* writer) const override {
-    writer->U32(table_->num_rows());
-    const DimValueEncoder& encoder = searcher_->encoder();
-    std::vector<uint32_t> cardinalities(encoder.num_dims());
-    for (uint32_t d = 0; d < encoder.num_dims(); ++d) {
-      cardinalities[d] = encoder.buckets(d);
-    }
-    writer->Vec(cardinalities);
-    return Status::OK();
-  }
-
-  std::shared_ptr<const InvertedIndex> BundleIndex() const override {
-    return searcher_->backend().index();
-  }
-
-  Result<std::vector<ObjectId>> Insert(const InsertRequest& request) override {
-    const DimValueEncoder& encoder = searcher_->encoder();
-    // Validate the whole batch before assigning any id, so a malformed row
-    // cannot leave a partially inserted batch behind.
-    for (const std::vector<uint32_t>& row : request.rows) {
-      if (row.size() != encoder.num_dims()) {
-        return Status::InvalidArgument(
-            "inserted row does not match the table's column count");
-      }
-      for (uint32_t c = 0; c < row.size(); ++c) {
-        if (row[c] >= encoder.buckets(c)) {
-          return Status::OutOfRange(
-              "inserted row value outside the column's domain");
-        }
-      }
-    }
-    delta::MutationController& controller =
-        host_.Ensure(&searcher_->backend(), table_->num_rows());
-    std::vector<ObjectId> ids;
-    ids.reserve(request.rows.size());
-    std::vector<Keyword> keywords;
-    for (const std::vector<uint32_t>& row : request.rows) {
-      keywords.clear();
-      for (uint32_t c = 0; c < row.size(); ++c) {
-        keywords.push_back(encoder.EncodeUnchecked(c, row[c]));
-      }
-      ids.push_back(controller.Insert(keywords));
-    }
-    return ids;
-  }
-
-  Status Remove(std::span<const ObjectId> ids) override {
-    return host_.Remove(ids, &searcher_->backend(), table_->num_rows());
-  }
-
-  Status Flush() override { return host_.Flush(); }
-  MutationStats mutation_stats() const override { return host_.stats(); }
-  std::shared_ptr<void> PauseMutation() override { return host_.Pause(); }
-
-  std::string ExplainPlan() const override {
-    return searcher_->backend().ExplainPlan();
-  }
-
-  uint32_t PlannedChunkSize() const override {
-    const plan::ExecutionPlan plan = searcher_->backend().execution_plan();
-    return plan.planned ? plan.chunk_size : 0;
-  }
-
-  uint64_t DataGeneration() const override {
-    return searcher_->backend().data_generation();
-  }
-
-  Status SerializeMutationState(serialize::Writer* writer) const override {
-    if (!host_.mutated()) return Status::OK();
-    return host_.SerializeDeltaState(writer);
-  }
-
-  void AdoptMutationState(const delta::DeltaSnapshot& snap) {
-    host_.AdoptSnapshot(snap, &searcher_->backend(), table_->num_rows());
-  }
-
- private:
-  const sa::RelationalTable* table_;
-  std::unique_ptr<sa::RelationalSearcher> searcher_;
-  std::mutex mu_;
-  MutationHost host_;
-};
-
-// ---------------------------------------------------------------------------
-// Compiled (raw Definition-2.1 queries over a caller-built index)
-// ---------------------------------------------------------------------------
-
-class CompiledSearcherImpl : public Searcher {
- public:
-  CompiledSearcherImpl(const InvertedIndex* index,
-                       std::unique_ptr<EngineBackend> backend,
-                       delta::MutationOptions mutation_options)
-      : index_(index), backend_(std::move(backend)),
-        host_(std::move(mutation_options)) {}
-
-  /// Bundle-open mode: the searcher owns the loaded index (a bundle has no
-  /// caller-held index to borrow). Two-phase: construct, then create the
-  /// backend over index() — the member's address is stable from here on.
-  CompiledSearcherImpl(InvertedIndex owned,
-                       delta::MutationOptions mutation_options)
-      : owned_index_(std::move(owned)), index_(&owned_index_),
-        host_(std::move(mutation_options)) {}
-
-  void AdoptBackend(std::unique_ptr<EngineBackend> backend) {
-    backend_ = std::move(backend);
-  }
-
-  const InvertedIndex& index() const { return *index_; }
-
-  Modality modality() const override { return Modality::kCompiled; }
-  uint32_t num_objects() const override {
-    return host_.NumObjects(index_->num_objects());
-  }
-
-  Result<SearchResult> Search(const SearchRequest& request) override {
-    GENIE_ASSIGN_OR_RETURN(std::unique_ptr<PreparedChunk> chunk,
-                           PrepareChunk(request));
-    return ExecutePrepared(std::move(chunk));
-  }
-
-  /// Compiled queries need no transform: the prepared chunk is just the
-  /// request.
-  Result<std::unique_ptr<PreparedChunk>> PrepareChunk(
-      const SearchRequest& request) override {
-    auto chunk = std::make_unique<PreparedChunk>();
-    chunk->request = request;
-    return chunk;
-  }
-
-  Result<SearchResult> ExecutePrepared(
-      std::unique_ptr<PreparedChunk> chunk) override {
-    std::vector<QueryResult> raw;
-    BackendSnapshot before, after;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      before = Snapshot(*backend_);
-      GENIE_ASSIGN_OR_RETURN(raw,
-                             backend_->ExecuteBatch(chunk->request.compiled));
-      after = Snapshot(*backend_);
-    }
-    SearchResult result;
-    result.queries.resize(raw.size());
-    for (size_t q = 0; q < raw.size(); ++q) {
-      QueryHits& out = result.queries[q];
-      out.hits.reserve(raw[q].entries.size());
-      for (const TopKEntry& e : raw[q].entries) {
-        out.hits.push_back(Hit{e.id, e.count, static_cast<double>(e.count)});
-      }
-      out.threshold = raw[q].threshold;
-    }
-    FillProfiles(&result, before, after);
-    return result;
-  }
-
-  uint32_t DeriveChunkSize(const SearchRequest& request,
-                           double memory_fraction) const override {
-    const uint32_t max_count =
-        backend_->options().max_count > 0
-            ? backend_->options().max_count
-            : MatchEngine::DeriveMaxCount(request.compiled);
-    const uint64_t per_query = MatchEngine::DeviceBytesPerQuery(
-        backend_->index()->num_objects(), backend_->options(), max_count);
-    const EngineBackend::BatchBudget budget = backend_->batch_budget();
-    return DeriveLargeBatchSize(budget.capacity_bytes, budget.allocated_bytes,
-                                per_query, memory_fraction);
-  }
-
-  Status SerializeBundleMeta(serialize::Writer* writer) const override {
-    (void)writer;  // the index is the whole state
-    return Status::OK();
-  }
-
-  std::shared_ptr<const InvertedIndex> BundleIndex() const override {
-    return backend_->index();
-  }
-
-  Result<std::vector<ObjectId>> Insert(const InsertRequest& request) override {
-    delta::MutationController& controller =
-        host_.Ensure(backend_.get(), index_->num_objects());
-    std::vector<ObjectId> ids;
-    ids.reserve(request.objects.size());
-    for (const std::vector<Keyword>& keywords : request.objects) {
-      ids.push_back(controller.Insert(keywords));
-    }
-    return ids;
-  }
-
-  Status Remove(std::span<const ObjectId> ids) override {
-    return host_.Remove(ids, backend_.get(), index_->num_objects());
-  }
-
-  Status Flush() override { return host_.Flush(); }
-  MutationStats mutation_stats() const override { return host_.stats(); }
-  std::shared_ptr<void> PauseMutation() override { return host_.Pause(); }
-
-  std::string ExplainPlan() const override { return backend_->ExplainPlan(); }
-
-  uint32_t PlannedChunkSize() const override {
-    const plan::ExecutionPlan plan = backend_->execution_plan();
-    return plan.planned ? plan.chunk_size : 0;
-  }
-
-  uint64_t DataGeneration() const override {
-    return backend_->data_generation();
-  }
-
-  Status SerializeMutationState(serialize::Writer* writer) const override {
-    if (!host_.mutated()) return Status::OK();
-    return host_.SerializeDeltaState(writer);
-  }
-
-  void AdoptMutationState(const delta::DeltaSnapshot& snap) {
-    host_.AdoptSnapshot(snap, backend_.get(), index_->num_objects());
-  }
-
- private:
-  InvertedIndex owned_index_;
-  const InvertedIndex* index_;
-  std::unique_ptr<EngineBackend> backend_;
-  std::mutex mu_;
-  // Destroyed before backend_: the compaction worker joins first.
-  MutationHost host_;
-};
-
-/// The runtime (non-transform) LshSearchOptions shared by create and open.
-lsh::LshSearchOptions PointsRuntimeOptions(const EngineConfig& config) {
+/// The runtime LSH options of the points and sets modalities, shared by
+/// create and open (a sets bundle overrides the transform with its saved
+/// one).
+lsh::LshSearchOptions LshRuntimeOptions(const EngineConfig& config,
+                                        uint32_t default_rehash_domain) {
   lsh::LshSearchOptions options;
   options.transform.rehash_domain = config.rehash_domain() > 0
                                         ? config.rehash_domain()
-                                        : kDefaultPointsRehashDomain;
+                                        : default_rehash_domain;
   options.transform.seed = config.seed();
   options.engine = BaseEngineOptions(config);
   options.engine.k =
@@ -1278,47 +725,6 @@ lsh::LshSearchOptions PointsRuntimeOptions(const EngineConfig& config) {
   options.backend = BackendOptions(config);
   return options;
 }
-
-lsh::SetSearchOptions SetsRuntimeOptions(const EngineConfig& config) {
-  lsh::SetSearchOptions options;
-  options.transform.rehash_domain = config.rehash_domain() > 0
-                                        ? config.rehash_domain()
-                                        : kDefaultSetsRehashDomain;
-  options.transform.seed = config.seed();
-  options.engine = BaseEngineOptions(config);
-  options.engine.k =
-      config.exact_rerank() ? CandidatePoolSize(config) : config.k();
-  options.build = BuildOptions(config);
-  options.backend = BackendOptions(config);
-  return options;
-}
-
-sa::SequenceSearchOptions SequencesRuntimeOptions(const EngineConfig& config) {
-  sa::SequenceSearchOptions options;
-  options.ngram = config.ngram();
-  options.k = config.k();
-  options.candidate_k = CandidatePoolSize(config);
-  options.escalate_until_exact = config.escalate_until_exact();
-  options.max_candidate_k =
-      std::max(config.max_candidate_k(), options.candidate_k);
-  options.engine = BaseEngineOptions(config);
-  options.backend = BackendOptions(config);
-  return options;
-}
-
-sa::DocumentSearchOptions DocumentsRuntimeOptions(const EngineConfig& config) {
-  sa::DocumentSearchOptions options;
-  options.k = config.k();
-  options.engine = BaseEngineOptions(config);
-  options.backend = BackendOptions(config);
-  return options;
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Factories
-// ---------------------------------------------------------------------------
 
 Result<std::unique_ptr<Searcher>> MakePointsSearcher(
     const EngineConfig& config) {
@@ -1342,104 +748,15 @@ Result<std::unique_ptr<Searcher>> MakePointsSearcher(
     family = std::shared_ptr<const lsh::VectorLshFamily>(std::move(e2lsh));
   }
 
-  lsh::LshSearchOptions options = PointsRuntimeOptions(config);
-  GENIE_ASSIGN_OR_RETURN(std::unique_ptr<lsh::LshSearcher> searcher,
-                         lsh::LshSearcher::Create(points, family, options));
-  return std::unique_ptr<Searcher>(new PointsSearcherImpl(
-      points, std::move(searcher), config.k(), config.exact_rerank(),
-      config.metric_p(), MutationOptionsFrom(config)));
-}
-
-Result<std::unique_ptr<Searcher>> MakeSetsSearcher(const EngineConfig& config) {
-  const std::vector<std::vector<uint32_t>>* sets = config.sets();
-  if (sets == nullptr) return Status::InvalidArgument("sets is null");
-  if (sets->empty()) return Status::InvalidArgument("sets dataset is empty");
-
-  std::shared_ptr<const lsh::SetLshFamily> family = config.set_family();
-  if (family == nullptr) {
-    lsh::MinHashOptions minhash;
-    minhash.num_functions = config.hash_functions() > 0
-                                ? config.hash_functions()
-                                : kDefaultHashFunctions;
-    minhash.seed = config.seed();
-    GENIE_ASSIGN_OR_RETURN(std::unique_ptr<lsh::MinHashFamily> min_hash,
-                           lsh::MinHashFamily::Create(minhash));
-    family = std::shared_ptr<const lsh::SetLshFamily>(std::move(min_hash));
-  }
-
-  lsh::SetSearchOptions options = SetsRuntimeOptions(config);
-  GENIE_ASSIGN_OR_RETURN(std::unique_ptr<lsh::SetLshSearcher> searcher,
-                         lsh::SetLshSearcher::Create(sets, family, options));
-  return std::unique_ptr<Searcher>(
-      new SetsSearcherImpl(sets, std::move(family), std::move(searcher),
-                           config.k(), config.exact_rerank(),
-                           MutationOptionsFrom(config)));
-}
-
-Result<std::unique_ptr<Searcher>> MakeSequencesSearcher(
-    const EngineConfig& config) {
-  const std::vector<std::string>* sequences = config.sequences();
-  if (sequences == nullptr) {
-    return Status::InvalidArgument("sequences is null");
-  }
-  if (sequences->empty()) {
-    return Status::InvalidArgument("sequences dataset is empty");
-  }
-
-  sa::SequenceSearchOptions options = SequencesRuntimeOptions(config);
-  GENIE_ASSIGN_OR_RETURN(std::unique_ptr<sa::SequenceSearcher> searcher,
-                         sa::SequenceSearcher::Create(sequences, options));
-  return std::unique_ptr<Searcher>(
-      new SequencesSearcherImpl(sequences, std::move(searcher), config.k(),
-                                MutationOptionsFrom(config)));
-}
-
-Result<std::unique_ptr<Searcher>> MakeDocumentsSearcher(
-    const EngineConfig& config) {
-  const std::vector<std::vector<uint32_t>>* documents = config.documents();
-  if (documents == nullptr) {
-    return Status::InvalidArgument("documents is null");
-  }
-  if (documents->empty()) {
-    return Status::InvalidArgument("documents dataset is empty");
-  }
-
-  sa::DocumentSearchOptions options = DocumentsRuntimeOptions(config);
-  GENIE_ASSIGN_OR_RETURN(std::unique_ptr<sa::DocumentSearcher> searcher,
-                         sa::DocumentSearcher::Create(documents, options));
-  return std::unique_ptr<Searcher>(new DocumentsSearcherImpl(
-      documents, std::move(searcher), MutationOptionsFrom(config)));
-}
-
-Result<std::unique_ptr<Searcher>> MakeRelationalSearcher(
-    const EngineConfig& config) {
-  const sa::RelationalTable* table = config.table();
-  if (table == nullptr) return Status::InvalidArgument("table is null");
   GENIE_ASSIGN_OR_RETURN(
-      std::unique_ptr<sa::RelationalSearcher> searcher,
-      sa::RelationalSearcher::Create(table, config.k(),
-                                     BaseEngineOptions(config),
-                                     BuildOptions(config),
-                                     BackendOptions(config)));
-  return std::unique_ptr<Searcher>(new RelationalSearcherImpl(
-      table, std::move(searcher), MutationOptionsFrom(config)));
+      std::unique_ptr<lsh::LshSearcher> searcher,
+      lsh::LshSearcher::Create(
+          points, family,
+          LshRuntimeOptions(config, kDefaultPointsRehashDomain)));
+  return Assemble(Modality::kPoints,
+                  std::make_unique<PointsHooks>(config, std::move(searcher)),
+                  points->num_points(), config);
 }
-
-Result<std::unique_ptr<Searcher>> MakeCompiledSearcher(
-    const EngineConfig& config) {
-  const InvertedIndex* index = config.index();
-  if (index == nullptr) return Status::InvalidArgument("index is null");
-  GENIE_ASSIGN_OR_RETURN(
-      std::unique_ptr<EngineBackend> backend,
-      EngineBackend::Create(index, BaseEngineOptions(config),
-                            BackendOptions(config)));
-  return std::unique_ptr<Searcher>(new CompiledSearcherImpl(
-      index, std::move(backend), MutationOptionsFrom(config)));
-}
-
-// ---------------------------------------------------------------------------
-// Bundle-open factories
-// ---------------------------------------------------------------------------
 
 Result<std::unique_ptr<Searcher>> OpenPointsSearcher(
     const EngineConfig& config, serialize::Reader* meta,
@@ -1488,44 +805,145 @@ Result<std::unique_ptr<Searcher>> OpenPointsSearcher(
         "rebound points dataset does not match the saved engine");
   }
 
-  delta::DeltaSnapshot snap;
   std::vector<std::vector<float>> appended_rows;
-  uint32_t appended = 0;
-  if (mutation != nullptr) {
-    GENIE_ASSIGN_OR_RETURN(snap, ReadDeltaSnapshot(mutation));
-    uint32_t count = 0;
-    GENIE_RETURN_NOT_OK(mutation->U32(&count));
-    appended_rows.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      std::vector<float> row;
-      GENIE_RETURN_NOT_OK(mutation->Vec(&row));
-      if (row.size() != points->dim()) {
-        return Status::InvalidArgument(
-            "bundle mutation row dimension does not match the dataset");
-      }
-      appended_rows.push_back(std::move(row));
-    }
-    GENIE_RETURN_NOT_OK(mutation->ExpectEnd());
-    if (snap.next_id != static_cast<uint64_t>(num_objects) + count) {
-      return Status::InvalidArgument(
-          "bundle mutation watermark does not match its appended side data");
-    }
-    appended = count;
-  }
+  GENIE_ASSIGN_OR_RETURN(
+      RestoredDelta restored,
+      ReadMutationSection(mutation, num_objects,
+                          [&](serialize::Reader* reader) -> Status {
+                            std::vector<float> row;
+                            GENIE_RETURN_NOT_OK(reader->Vec(&row));
+                            if (row.size() != dim) {
+                              return Status::InvalidArgument(
+                                  "bundle mutation row dimension does not "
+                                  "match the dataset");
+                            }
+                            appended_rows.push_back(std::move(row));
+                            return Status::OK();
+                          }));
 
-  lsh::LshSearchOptions options = PointsRuntimeOptions(config);
+  lsh::LshSearchOptions options =
+      LshRuntimeOptions(config, kDefaultPointsRehashDomain);
   options.backend.index_stats = stats;
   GENIE_ASSIGN_OR_RETURN(
       std::unique_ptr<lsh::LshSearcher> searcher,
       lsh::LshSearcher::Restore(points, std::move(transformer),
-                                std::move(index), options, appended));
-  auto impl = std::make_unique<PointsSearcherImpl>(
-      points, std::move(searcher), config.k(), config.exact_rerank(),
-      config.metric_p(), MutationOptionsFrom(config));
-  if (mutation != nullptr) {
-    impl->AdoptMutationState(snap, std::move(appended_rows));
+                                std::move(index), options, restored.appended));
+  return Assemble(Modality::kPoints,
+                  std::make_unique<PointsHooks>(config, std::move(searcher),
+                                                std::move(appended_rows)),
+                  num_objects, config, restored);
+}
+
+// ---------------------------------------------------------------------------
+// Sets (Jaccard via MinHash, Section II-B1)
+// ---------------------------------------------------------------------------
+
+class SetsHooks final : public Searcher::Hooks {
+ public:
+  SetsHooks(const EngineConfig& config,
+            std::shared_ptr<const lsh::SetLshFamily> family,
+            std::unique_ptr<lsh::SetLshSearcher> searcher,
+            std::vector<std::vector<uint32_t>> appended_sets = {})
+      : sets_(config.sets()), family_(std::move(family)),
+        searcher_(std::move(searcher)), k_(config.k()),
+        rerank_(config.exact_rerank()),
+        appended_(std::move(appended_sets)) {}
+
+  EngineBackend& backend() override { return searcher_->backend(); }
+
+  Status Compile(const SearchRequest& request,
+                 std::vector<Query>* out) const override {
+    out->resize(request.sets.size());
+    for (size_t i = 0; i < request.sets.size(); ++i) {
+      (*out)[i] = searcher_->MakeQuery(request.sets[i]);
+    }
+    return Status::OK();
   }
-  return std::unique_ptr<Searcher>(std::move(impl));
+
+  void Shape(const SearchRequest& request, const Answers& answers,
+             SearchResult* result) const override {
+    ShapeLshHits(
+        answers.raw, family_->num_functions(), k_, rerank_,
+        [&](size_t q, ObjectId id) {
+          return family_->CollisionProbability(SetAt(id), request.sets[q]);
+        },
+        result);
+  }
+
+  std::span<const Keyword> InsertKeywords(
+      const InsertRequest& request, size_t i,
+      std::vector<Keyword>* scratch) override {
+    *scratch = searcher_->Transform(request.sets[i]);
+    return *scratch;
+  }
+
+  void AppendSideData(const InsertRequest& request, size_t i) override {
+    appended_.Append(request.sets[i]);
+  }
+
+  Status SerializeSideData(serialize::Writer* writer) const override {
+    appended_.Serialize(writer);
+    return Status::OK();
+  }
+
+  Status SerializeBundleMeta(serialize::Writer* writer) const override {
+    const auto* min_hash =
+        dynamic_cast<const lsh::MinHashFamily*>(family_.get());
+    if (min_hash == nullptr) {
+      return Status::Unimplemented(
+          "only engines over the built-in MinHash family support Save");
+    }
+    writer->U8(kSetFamilyMinHash);
+    min_hash->Serialize(writer);
+    const lsh::LshTransformOptions& transform =
+        searcher_->transform_options();
+    writer->U32(transform.rehash_domain);
+    writer->U64(transform.seed);
+    writer->U8(transform.rehash ? 1 : 0);
+    writer->Vec(searcher_->rehash_seeds());
+    writer->U32(static_cast<uint32_t>(sets_->size()));
+    return Status::OK();
+  }
+
+ private:
+  std::span<const uint32_t> SetAt(uint32_t id) const {
+    return id < sets_->size() ? std::span<const uint32_t>((*sets_)[id])
+                              : appended_.At(id - sets_->size());
+  }
+
+  const std::vector<std::vector<uint32_t>>* sets_;
+  std::shared_ptr<const lsh::SetLshFamily> family_;
+  std::unique_ptr<lsh::SetLshSearcher> searcher_;
+  uint32_t k_;
+  bool rerank_;
+  AppendLog<uint32_t> appended_;
+};
+
+Result<std::unique_ptr<Searcher>> MakeSetsSearcher(const EngineConfig& config) {
+  const std::vector<std::vector<uint32_t>>* sets = config.sets();
+  if (sets == nullptr) return Status::InvalidArgument("sets is null");
+  if (sets->empty()) return Status::InvalidArgument("sets dataset is empty");
+
+  std::shared_ptr<const lsh::SetLshFamily> family = config.set_family();
+  if (family == nullptr) {
+    lsh::MinHashOptions minhash;
+    minhash.num_functions = config.hash_functions() > 0
+                                ? config.hash_functions()
+                                : kDefaultHashFunctions;
+    minhash.seed = config.seed();
+    GENIE_ASSIGN_OR_RETURN(std::unique_ptr<lsh::MinHashFamily> min_hash,
+                           lsh::MinHashFamily::Create(minhash));
+    family = std::shared_ptr<const lsh::SetLshFamily>(std::move(min_hash));
+  }
+
+  GENIE_ASSIGN_OR_RETURN(
+      std::unique_ptr<lsh::SetLshSearcher> searcher,
+      lsh::SetLshSearcher::Create(
+          sets, family, LshRuntimeOptions(config, kDefaultSetsRehashDomain)));
+  return Assemble(Modality::kSets,
+                  std::make_unique<SetsHooks>(config, std::move(family),
+                                              std::move(searcher)),
+                  static_cast<uint32_t>(sets->size()), config);
 }
 
 Result<std::unique_ptr<Searcher>> OpenSetsSearcher(
@@ -1549,7 +967,8 @@ Result<std::unique_ptr<Searcher>> OpenSetsSearcher(
 
   // The saved transform state overrides the config's transform knobs: the
   // reopened engine must hash exactly like the saved one.
-  lsh::SetSearchOptions options = SetsRuntimeOptions(config);
+  lsh::LshSearchOptions options =
+      LshRuntimeOptions(config, kDefaultSetsRehashDomain);
   uint8_t rehash = 0;
   GENIE_RETURN_NOT_OK(meta->U32(&options.transform.rehash_domain));
   GENIE_RETURN_NOT_OK(meta->U64(&options.transform.seed));
@@ -1565,40 +984,147 @@ Result<std::unique_ptr<Searcher>> OpenSetsSearcher(
         "rebound sets dataset does not match the saved engine");
   }
 
-  delta::DeltaSnapshot snap;
   std::vector<std::vector<uint32_t>> appended_sets;
-  uint32_t appended = 0;
-  if (mutation != nullptr) {
-    GENIE_ASSIGN_OR_RETURN(snap, ReadDeltaSnapshot(mutation));
-    uint32_t count = 0;
-    GENIE_RETURN_NOT_OK(mutation->U32(&count));
-    appended_sets.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      std::vector<uint32_t> set;
-      GENIE_RETURN_NOT_OK(mutation->Vec(&set));
-      appended_sets.push_back(std::move(set));
-    }
-    GENIE_RETURN_NOT_OK(mutation->ExpectEnd());
-    if (snap.next_id != static_cast<uint64_t>(num_objects) + count) {
-      return Status::InvalidArgument(
-          "bundle mutation watermark does not match its appended side data");
-    }
-    appended = count;
-  }
+  GENIE_ASSIGN_OR_RETURN(
+      RestoredDelta restored,
+      ReadMutationSection(mutation, num_objects,
+                          [&](serialize::Reader* reader) -> Status {
+                            std::vector<uint32_t> set;
+                            GENIE_RETURN_NOT_OK(reader->Vec(&set));
+                            appended_sets.push_back(std::move(set));
+                            return Status::OK();
+                          }));
 
   options.backend.index_stats = stats;
   GENIE_ASSIGN_OR_RETURN(
       std::unique_ptr<lsh::SetLshSearcher> searcher,
       lsh::SetLshSearcher::Restore(sets, family, options,
-                                   std::move(rehash_seeds),
-                                   std::move(index), appended));
-  auto impl = std::make_unique<SetsSearcherImpl>(
-      sets, std::move(family), std::move(searcher), config.k(),
-      config.exact_rerank(), MutationOptionsFrom(config));
-  if (mutation != nullptr) {
-    impl->AdoptMutationState(snap, std::move(appended_sets));
+                                   std::move(rehash_seeds), std::move(index),
+                                   restored.appended));
+  return Assemble(Modality::kSets,
+                  std::make_unique<SetsHooks>(config, std::move(family),
+                                              std::move(searcher),
+                                              std::move(appended_sets)),
+                  num_objects, config, restored);
+}
+
+// ---------------------------------------------------------------------------
+// Sequences (edit distance via ordered n-grams, Section V-A)
+// ---------------------------------------------------------------------------
+
+class SequencesHooks final : public Searcher::Hooks {
+ public:
+  SequencesHooks(const EngineConfig& config,
+                 std::unique_ptr<sa::SequenceSearcher> searcher)
+      : sequences_(config.sequences()), searcher_(std::move(searcher)),
+        k_(config.k()) {}
+
+  EngineBackend& backend() override { return searcher_->backend(); }
+
+  Status Compile(const SearchRequest& request,
+                 std::vector<Query>* out) const override {
+    out->resize(request.sequences.size());
+    for (size_t i = 0; i < request.sequences.size(); ++i) {
+      (*out)[i] = searcher_->Compile(request.sequences[i]);
+    }
+    return Status::OK();
   }
-  return std::unique_ptr<Searcher>(std::move(impl));
+
+  /// Verification (Algorithm 2) and any escalation rounds run here, so the
+  /// verify-seconds bookkeeping shares the critical section.
+  Result<Answers> Answer(Searcher::PreparedChunk& chunk) override {
+    Answers answers;
+    GENIE_ASSIGN_OR_RETURN(
+        answers.verified,
+        searcher_->ExecuteCompiled(chunk.request.sequences,
+                                   std::move(chunk.compiled)));
+    return answers;
+  }
+
+  double verify_seconds() const override {
+    return searcher_->verify_seconds();
+  }
+
+  void Shape(const SearchRequest& request, const Answers& answers,
+             SearchResult* result) const override {
+    (void)request;
+    result->queries.resize(answers.verified.size());
+    for (size_t q = 0; q < answers.verified.size(); ++q) {
+      const sa::SequenceSearchOutcome& outcome = answers.verified[q];
+      QueryHits& out = result->queries[q];
+      out.hits.reserve(outcome.knn.size());
+      for (const sa::SequenceMatch& m : outcome.knn) {
+        out.hits.push_back(Hit{m.id, m.match_count,
+                               -static_cast<double>(m.edit_distance)});
+      }
+      // Hits are ordered by edit distance; MC_k comes from their counts.
+      out.threshold = KthLargestCount(out.hits, k_);
+      out.certified_exact = outcome.certified_exact;
+      out.rounds = outcome.rounds;
+    }
+  }
+
+  /// Grows the n-gram vocabulary before the controller's state lock;
+  /// harmless if the insert then fails (the frozen index maps unknown
+  /// keywords to empty lists).
+  std::span<const Keyword> InsertKeywords(
+      const InsertRequest& request, size_t i,
+      std::vector<Keyword>* scratch) override {
+    *scratch = searcher_->ExtractKeywords(request.sequences[i]);
+    return *scratch;
+  }
+
+  void AppendSideData(const InsertRequest& request, size_t i) override {
+    searcher_->AppendSequence(request.sequences[i]);
+  }
+
+  Status SerializeSideData(serialize::Writer* writer) const override {
+    return searcher_->SerializeAppended(writer);
+  }
+
+  Status SerializeBundleMeta(serialize::Writer* writer) const override {
+    writer->U32(searcher_->ngram());
+    GENIE_RETURN_NOT_OK(searcher_->SerializeVocabulary(writer));
+    writer->U32(static_cast<uint32_t>(sequences_->size()));
+    return Status::OK();
+  }
+
+ private:
+  const std::vector<std::string>* sequences_;
+  std::unique_ptr<sa::SequenceSearcher> searcher_;
+  uint32_t k_;
+};
+
+sa::SequenceSearchOptions SequencesRuntimeOptions(const EngineConfig& config) {
+  sa::SequenceSearchOptions options;
+  options.ngram = config.ngram();
+  options.k = config.k();
+  options.candidate_k = CandidatePoolSize(config);
+  options.escalate_until_exact = config.escalate_until_exact();
+  options.max_candidate_k =
+      std::max(config.max_candidate_k(), options.candidate_k);
+  options.engine = BaseEngineOptions(config);
+  options.backend = BackendOptions(config);
+  return options;
+}
+
+Result<std::unique_ptr<Searcher>> MakeSequencesSearcher(
+    const EngineConfig& config) {
+  const std::vector<std::string>* sequences = config.sequences();
+  if (sequences == nullptr) {
+    return Status::InvalidArgument("sequences is null");
+  }
+  if (sequences->empty()) {
+    return Status::InvalidArgument("sequences dataset is empty");
+  }
+
+  GENIE_ASSIGN_OR_RETURN(
+      std::unique_ptr<sa::SequenceSearcher> searcher,
+      sa::SequenceSearcher::Create(sequences,
+                                   SequencesRuntimeOptions(config)));
+  return Assemble(Modality::kSequences,
+                  std::make_unique<SequencesHooks>(config, std::move(searcher)),
+                  static_cast<uint32_t>(sequences->size()), config);
 }
 
 Result<std::unique_ptr<Searcher>> OpenSequencesSearcher(
@@ -1623,38 +1149,116 @@ Result<std::unique_ptr<Searcher>> OpenSequencesSearcher(
         "rebound sequences dataset does not match the saved engine");
   }
 
-  delta::DeltaSnapshot snap;
   std::vector<std::string> appended_sequences;
-  uint32_t appended = 0;
-  if (mutation != nullptr) {
-    GENIE_ASSIGN_OR_RETURN(snap, ReadDeltaSnapshot(mutation));
-    uint32_t count = 0;
-    GENIE_RETURN_NOT_OK(mutation->U32(&count));
-    appended_sequences.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      std::string sequence;
-      GENIE_RETURN_NOT_OK(mutation->String(&sequence));
-      appended_sequences.push_back(std::move(sequence));
-    }
-    GENIE_RETURN_NOT_OK(mutation->ExpectEnd());
-    if (snap.next_id != static_cast<uint64_t>(num_objects) + count) {
-      return Status::InvalidArgument(
-          "bundle mutation watermark does not match its appended side data");
-    }
-    appended = count;
-  }
+  GENIE_ASSIGN_OR_RETURN(
+      RestoredDelta restored,
+      ReadMutationSection(mutation, num_objects,
+                          [&](serialize::Reader* reader) -> Status {
+                            std::string sequence;
+                            GENIE_RETURN_NOT_OK(reader->String(&sequence));
+                            appended_sequences.push_back(std::move(sequence));
+                            return Status::OK();
+                          }));
 
   options.backend.index_stats = stats;
   GENIE_ASSIGN_OR_RETURN(
       std::unique_ptr<sa::SequenceSearcher> searcher,
       sa::SequenceSearcher::Restore(sequences, options, std::move(vocab),
-                                    std::move(index), appended));
-  auto impl = std::make_unique<SequencesSearcherImpl>(
-      sequences, std::move(searcher), config.k(), MutationOptionsFrom(config));
-  if (mutation != nullptr) {
-    impl->AdoptMutationState(snap, std::move(appended_sequences));
+                                    std::move(index), restored.appended));
+  for (std::string& sequence : appended_sequences) {
+    searcher->AppendSequence(std::move(sequence));
   }
-  return std::unique_ptr<Searcher>(std::move(impl));
+  return Assemble(Modality::kSequences,
+                  std::make_unique<SequencesHooks>(config, std::move(searcher)),
+                  num_objects, config, restored);
+}
+
+// ---------------------------------------------------------------------------
+// Documents (inner product on word sets, Section V-B)
+// ---------------------------------------------------------------------------
+
+/// Rejects an inserted keyword or token id of kInvalidKeyword: the delta
+/// layer and compaction size the vocabulary as the largest id + 1, which
+/// would wrap to 0.
+Status CheckInsertedIds(std::span<const std::vector<uint32_t>> objects,
+                        const char* what) {
+  for (const std::vector<uint32_t>& object : objects) {
+    for (uint32_t id : object) {
+      if (id == kInvalidKeyword) {
+        return Status::InvalidArgument(std::string("inserted ") + what +
+                                       " id 0xFFFFFFFF is reserved");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+class DocumentsHooks final : public Searcher::Hooks {
+ public:
+  DocumentsHooks(const EngineConfig& config,
+                 std::unique_ptr<sa::DocumentSearcher> searcher)
+      : documents_(config.documents()), searcher_(std::move(searcher)) {}
+
+  EngineBackend& backend() override { return searcher_->backend(); }
+
+  Status Compile(const SearchRequest& request,
+                 std::vector<Query>* out) const override {
+    out->resize(request.documents.size());
+    for (size_t i = 0; i < request.documents.size(); ++i) {
+      (*out)[i] = searcher_->Compile(request.documents[i]);
+    }
+    return Status::OK();
+  }
+
+  Status CheckInsert(const InsertRequest& request) const override {
+    return CheckInsertedIds(request.documents, "token");
+  }
+
+  /// Documents need no side data: the match count is the whole answer, so
+  /// only the keywords (deduped tokens) are retained, in the delta.
+  std::span<const Keyword> InsertKeywords(
+      const InsertRequest& request, size_t i,
+      std::vector<Keyword>* scratch) override {
+    *scratch = searcher_->ExtractKeywords(request.documents[i]);
+    return *scratch;
+  }
+
+  Status SerializeBundleMeta(serialize::Writer* writer) const override {
+    writer->U32(searcher_->vocab_size());
+    writer->U32(static_cast<uint32_t>(documents_->size()));
+    return Status::OK();
+  }
+
+ private:
+  const std::vector<std::vector<uint32_t>>* documents_;
+  std::unique_ptr<sa::DocumentSearcher> searcher_;
+};
+
+sa::DocumentSearchOptions DocumentsRuntimeOptions(const EngineConfig& config) {
+  sa::DocumentSearchOptions options;
+  options.k = config.k();
+  options.engine = BaseEngineOptions(config);
+  options.backend = BackendOptions(config);
+  return options;
+}
+
+Result<std::unique_ptr<Searcher>> MakeDocumentsSearcher(
+    const EngineConfig& config) {
+  const std::vector<std::vector<uint32_t>>* documents = config.documents();
+  if (documents == nullptr) {
+    return Status::InvalidArgument("documents is null");
+  }
+  if (documents->empty()) {
+    return Status::InvalidArgument("documents dataset is empty");
+  }
+
+  GENIE_ASSIGN_OR_RETURN(
+      std::unique_ptr<sa::DocumentSearcher> searcher,
+      sa::DocumentSearcher::Create(documents,
+                                   DocumentsRuntimeOptions(config)));
+  return Assemble(Modality::kDocuments,
+                  std::make_unique<DocumentsHooks>(config, std::move(searcher)),
+                  static_cast<uint32_t>(documents->size()), config);
 }
 
 Result<std::unique_ptr<Searcher>> OpenDocumentsSearcher(
@@ -1676,31 +1280,101 @@ Result<std::unique_ptr<Searcher>> OpenDocumentsSearcher(
     return Status::InvalidArgument(
         "rebound documents dataset does not match the saved engine");
   }
-
-  delta::DeltaSnapshot snap;
-  uint32_t appended = 0;
-  if (mutation != nullptr) {
-    GENIE_ASSIGN_OR_RETURN(snap, ReadDeltaSnapshot(mutation));
-    GENIE_RETURN_NOT_OK(mutation->ExpectEnd());
-    // Documents carry no side data: the watermark alone tells how many
-    // objects were appended.
-    if (snap.next_id < num_objects) {
-      return Status::InvalidArgument(
-          "bundle mutation watermark is below the saved dataset size");
-    }
-    appended = static_cast<uint32_t>(snap.next_id - num_objects);
-  }
+  GENIE_ASSIGN_OR_RETURN(RestoredDelta restored,
+                         ReadMutationSection(mutation, num_objects, nullptr));
 
   sa::DocumentSearchOptions options = DocumentsRuntimeOptions(config);
   options.backend.index_stats = stats;
   GENIE_ASSIGN_OR_RETURN(
       std::unique_ptr<sa::DocumentSearcher> searcher,
       sa::DocumentSearcher::Restore(documents, options, vocab_size,
-                                    std::move(index), appended));
-  auto impl = std::make_unique<DocumentsSearcherImpl>(
-      documents, std::move(searcher), MutationOptionsFrom(config));
-  if (mutation != nullptr) impl->AdoptMutationState(snap);
-  return std::unique_ptr<Searcher>(std::move(impl));
+                                    std::move(index), restored.appended));
+  return Assemble(Modality::kDocuments,
+                  std::make_unique<DocumentsHooks>(config, std::move(searcher)),
+                  num_objects, config, restored);
+}
+
+// ---------------------------------------------------------------------------
+// Relational (top-k selection on range predicates, Section V-C)
+// ---------------------------------------------------------------------------
+
+class RelationalHooks final : public Searcher::Hooks {
+ public:
+  RelationalHooks(const EngineConfig& config,
+                  std::unique_ptr<sa::RelationalSearcher> searcher)
+      : table_(config.table()), searcher_(std::move(searcher)) {}
+
+  EngineBackend& backend() override { return searcher_->backend(); }
+
+  Status Compile(const SearchRequest& request,
+                 std::vector<Query>* out) const override {
+    out->resize(request.ranges.size());
+    for (size_t i = 0; i < request.ranges.size(); ++i) {
+      GENIE_ASSIGN_OR_RETURN((*out)[i], searcher_->Compile(request.ranges[i]));
+    }
+    return Status::OK();
+  }
+
+  /// Validates the whole batch before any id is assigned, so a malformed
+  /// row cannot leave a partially inserted batch behind.
+  Status CheckInsert(const InsertRequest& request) const override {
+    const DimValueEncoder& encoder = searcher_->encoder();
+    for (const std::vector<uint32_t>& row : request.rows) {
+      if (row.size() != encoder.num_dims()) {
+        return Status::InvalidArgument(
+            "inserted row does not match the table's column count");
+      }
+      for (uint32_t c = 0; c < row.size(); ++c) {
+        if (row[c] >= encoder.buckets(c)) {
+          return Status::OutOfRange(
+              "inserted row value outside the column's domain");
+        }
+      }
+    }
+    return Status::OK();
+  }
+
+  std::span<const Keyword> InsertKeywords(
+      const InsertRequest& request, size_t i,
+      std::vector<Keyword>* scratch) override {
+    const DimValueEncoder& encoder = searcher_->encoder();
+    const std::vector<uint32_t>& row = request.rows[i];
+    scratch->clear();
+    for (uint32_t c = 0; c < row.size(); ++c) {
+      scratch->push_back(encoder.EncodeUnchecked(c, row[c]));
+    }
+    return *scratch;
+  }
+
+  Status SerializeBundleMeta(serialize::Writer* writer) const override {
+    writer->U32(table_->num_rows());
+    const DimValueEncoder& encoder = searcher_->encoder();
+    std::vector<uint32_t> cardinalities(encoder.num_dims());
+    for (uint32_t d = 0; d < encoder.num_dims(); ++d) {
+      cardinalities[d] = encoder.buckets(d);
+    }
+    writer->Vec(cardinalities);
+    return Status::OK();
+  }
+
+ private:
+  const sa::RelationalTable* table_;
+  std::unique_ptr<sa::RelationalSearcher> searcher_;
+};
+
+Result<std::unique_ptr<Searcher>> MakeRelationalSearcher(
+    const EngineConfig& config) {
+  const sa::RelationalTable* table = config.table();
+  if (table == nullptr) return Status::InvalidArgument("table is null");
+  GENIE_ASSIGN_OR_RETURN(
+      std::unique_ptr<sa::RelationalSearcher> searcher,
+      sa::RelationalSearcher::Create(table, config.k(),
+                                     BaseEngineOptions(config),
+                                     BuildOptions(config),
+                                     BackendOptions(config)));
+  return Assemble(Modality::kRelational,
+                  std::make_unique<RelationalHooks>(config, std::move(searcher)),
+                  table->num_rows(), config);
 }
 
 Result<std::unique_ptr<Searcher>> OpenRelationalSearcher(
@@ -1718,19 +1392,8 @@ Result<std::unique_ptr<Searcher>> OpenRelationalSearcher(
   GENIE_RETURN_NOT_OK(meta->U32(&num_rows));
   GENIE_RETURN_NOT_OK(meta->Vec(&cardinalities));
   GENIE_RETURN_NOT_OK(meta->ExpectEnd());
-
-  delta::DeltaSnapshot snap;
-  uint32_t appended = 0;
-  if (mutation != nullptr) {
-    GENIE_ASSIGN_OR_RETURN(snap, ReadDeltaSnapshot(mutation));
-    GENIE_RETURN_NOT_OK(mutation->ExpectEnd());
-    // Rows carry no side data (the keywords in the delta are the row).
-    if (snap.next_id < num_rows) {
-      return Status::InvalidArgument(
-          "bundle mutation watermark is below the saved table size");
-    }
-    appended = static_cast<uint32_t>(snap.next_id - num_rows);
-  }
+  GENIE_ASSIGN_OR_RETURN(RestoredDelta restored,
+                         ReadMutationSection(mutation, num_rows, nullptr));
 
   EngineBackendOptions backend_options = BackendOptions(config);
   backend_options.index_stats = stats;
@@ -1739,12 +1402,81 @@ Result<std::unique_ptr<Searcher>> OpenRelationalSearcher(
       sa::RelationalSearcher::Restore(table, config.k(), cardinalities,
                                       num_rows, std::move(index),
                                       BaseEngineOptions(config),
-                                      BuildOptions(config),
-                                      backend_options, appended));
-  auto impl = std::make_unique<RelationalSearcherImpl>(
-      table, std::move(searcher), MutationOptionsFrom(config));
-  if (mutation != nullptr) impl->AdoptMutationState(snap);
-  return std::unique_ptr<Searcher>(std::move(impl));
+                                      BuildOptions(config), backend_options,
+                                      restored.appended));
+  return Assemble(Modality::kRelational,
+                  std::make_unique<RelationalHooks>(config, std::move(searcher)),
+                  num_rows, config, restored);
+}
+
+// ---------------------------------------------------------------------------
+// Compiled (raw Definition-2.1 queries over a caller-built index)
+// ---------------------------------------------------------------------------
+
+class CompiledHooks final : public Searcher::Hooks {
+ public:
+  /// A bundle has no caller-held index to borrow, so an opened engine owns
+  /// the loaded one; the backend is created over index() afterwards, when
+  /// the member's address is stable.
+  explicit CompiledHooks(InvertedIndex owned = InvertedIndex())
+      : owned_index_(std::move(owned)) {}
+
+  const InvertedIndex& index() const { return owned_index_; }
+
+  void AdoptBackend(std::unique_ptr<EngineBackend> backend) {
+    backend_ = std::move(backend);
+  }
+
+  EngineBackend& backend() override { return *backend_; }
+
+  /// Compiled requests are their own queries.
+  Status Compile(const SearchRequest& request,
+                 std::vector<Query>* out) const override {
+    (void)request;
+    (void)out;
+    return Status::OK();
+  }
+
+  Result<Answers> Answer(Searcher::PreparedChunk& chunk) override {
+    Answers answers;
+    GENIE_ASSIGN_OR_RETURN(answers.raw,
+                           backend_->ExecuteBatch(chunk.request.compiled));
+    return answers;
+  }
+
+  Status CheckInsert(const InsertRequest& request) const override {
+    return CheckInsertedIds(request.objects, "keyword");
+  }
+
+  std::span<const Keyword> InsertKeywords(
+      const InsertRequest& request, size_t i,
+      std::vector<Keyword>* scratch) override {
+    (void)scratch;
+    return request.objects[i];
+  }
+
+  Status SerializeBundleMeta(serialize::Writer* writer) const override {
+    (void)writer;  // the index is the whole state
+    return Status::OK();
+  }
+
+ private:
+  InvertedIndex owned_index_;
+  std::unique_ptr<EngineBackend> backend_;
+};
+
+Result<std::unique_ptr<Searcher>> MakeCompiledSearcher(
+    const EngineConfig& config) {
+  const InvertedIndex* index = config.index();
+  if (index == nullptr) return Status::InvalidArgument("index is null");
+  auto hooks = std::make_unique<CompiledHooks>();
+  GENIE_ASSIGN_OR_RETURN(
+      std::unique_ptr<EngineBackend> backend,
+      EngineBackend::Create(index, BaseEngineOptions(config),
+                            BackendOptions(config)));
+  hooks->AdoptBackend(std::move(backend));
+  return Assemble(Modality::kCompiled, std::move(hooks), index->num_objects(),
+                  config);
 }
 
 Result<std::unique_ptr<Searcher>> OpenCompiledSearcher(
@@ -1752,28 +1484,60 @@ Result<std::unique_ptr<Searcher>> OpenCompiledSearcher(
     serialize::Reader* mutation, InvertedIndex index,
     const plan::IndexStats* stats) {
   GENIE_RETURN_NOT_OK(meta->ExpectEnd());
+  const uint32_t num_objects = index.num_objects();
+  GENIE_ASSIGN_OR_RETURN(RestoredDelta restored,
+                         ReadMutationSection(mutation, num_objects, nullptr));
 
-  delta::DeltaSnapshot snap;
-  if (mutation != nullptr) {
-    GENIE_ASSIGN_OR_RETURN(snap, ReadDeltaSnapshot(mutation));
-    GENIE_RETURN_NOT_OK(mutation->ExpectEnd());
-    if (snap.next_id < index.num_objects()) {
-      return Status::InvalidArgument(
-          "bundle mutation watermark is below the saved index size");
-    }
-  }
-
-  auto impl = std::make_unique<CompiledSearcherImpl>(
-      std::move(index), MutationOptionsFrom(config));
+  auto hooks = std::make_unique<CompiledHooks>(std::move(index));
   EngineBackendOptions backend_options = BackendOptions(config);
   backend_options.index_stats = stats;
   GENIE_ASSIGN_OR_RETURN(
       std::unique_ptr<EngineBackend> backend,
-      EngineBackend::Create(&impl->index(), BaseEngineOptions(config),
+      EngineBackend::Create(&hooks->index(), BaseEngineOptions(config),
                             backend_options));
-  impl->AdoptBackend(std::move(backend));
-  if (mutation != nullptr) impl->AdoptMutationState(snap);
-  return std::unique_ptr<Searcher>(std::move(impl));
+  hooks->AdoptBackend(std::move(backend));
+  return Assemble(Modality::kCompiled, std::move(hooks), num_objects, config,
+                  restored);
+}
+
+}  // namespace
+
+Result<std::unique_ptr<Searcher>> MakeSearcher(const EngineConfig& config) {
+  switch (config.modality()) {
+    case Modality::kPoints: return MakePointsSearcher(config);
+    case Modality::kSets: return MakeSetsSearcher(config);
+    case Modality::kSequences: return MakeSequencesSearcher(config);
+    case Modality::kDocuments: return MakeDocumentsSearcher(config);
+    case Modality::kRelational: return MakeRelationalSearcher(config);
+    case Modality::kCompiled: return MakeCompiledSearcher(config);
+  }
+  return Status::InvalidArgument("unknown modality");
+}
+
+Result<std::unique_ptr<Searcher>> OpenSearcher(
+    Modality modality, const EngineConfig& config, serialize::Reader* meta,
+    serialize::Reader* mutation, InvertedIndex index,
+    const plan::IndexStats* stats) {
+  switch (modality) {
+    case Modality::kPoints:
+      return OpenPointsSearcher(config, meta, mutation, std::move(index),
+                                stats);
+    case Modality::kSets:
+      return OpenSetsSearcher(config, meta, mutation, std::move(index), stats);
+    case Modality::kSequences:
+      return OpenSequencesSearcher(config, meta, mutation, std::move(index),
+                                   stats);
+    case Modality::kDocuments:
+      return OpenDocumentsSearcher(config, meta, mutation, std::move(index),
+                                   stats);
+    case Modality::kRelational:
+      return OpenRelationalSearcher(config, meta, mutation, std::move(index),
+                                    stats);
+    case Modality::kCompiled:
+      return OpenCompiledSearcher(config, meta, mutation, std::move(index),
+                                  stats);
+  }
+  return Status::InvalidArgument("unknown modality tag in bundle");
 }
 
 }  // namespace genie

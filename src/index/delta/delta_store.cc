@@ -221,6 +221,11 @@ void SerializeDelta(const DeltaSnapshot& snap, serialize::Writer* writer) {
 Status DeserializeDelta(serialize::Reader* reader, DeltaStore* store) {
   uint32_t num_segments = 0;
   GENIE_RETURN_NOT_OK(reader->U32(&num_segments));
+  // A segment is three length-prefixed vectors: a count the remaining
+  // bytes cannot hold is forged, and must not size the reservation.
+  if (num_segments > reader->remaining() / (3 * sizeof(uint64_t))) {
+    return Status::InvalidArgument("delta segment count exceeds the section");
+  }
   std::vector<std::shared_ptr<const DeltaSegment>> sealed;
   sealed.reserve(num_segments);
   for (uint32_t s = 0; s < num_segments; ++s) {
@@ -239,6 +244,10 @@ Status DeserializeDelta(serialize::Reader* reader, DeltaStore* store) {
       }
     }
     for (Keyword kw : segment.keywords) {
+      // Compaction sizes its vocabulary as max_keyword + 1.
+      if (kw == kInvalidKeyword) {
+        return Status::InvalidArgument("delta segment keyword out of range");
+      }
       segment.max_keyword = std::max(segment.max_keyword, kw);
     }
     sealed.push_back(std::make_shared<const DeltaSegment>(std::move(segment)));

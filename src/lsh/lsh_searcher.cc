@@ -53,24 +53,12 @@ Result<std::unique_ptr<LshSearcher>> LshSearcher::Restore(
 
 Result<std::vector<std::vector<AnnMatch>>> LshSearcher::MatchBatch(
     const data::PointMatrix& queries) {
-  GENIE_ASSIGN_OR_RETURN(PreparedBatch batch, Prepare(queries));
-  return ExecutePrepared(std::move(batch));
-}
-
-Result<LshSearcher::PreparedBatch> LshSearcher::Prepare(
-    const data::PointMatrix& queries) {
-  PreparedBatch batch;
-  batch.compiled.resize(queries.num_points());
+  std::vector<Query> compiled(queries.num_points());
   for (uint32_t i = 0; i < queries.num_points(); ++i) {
-    batch.compiled[i] = transformer_.MakeQuery(queries.row(i));
+    compiled[i] = transformer_.MakeQuery(queries.row(i));
   }
-  return batch;
-}
-
-Result<std::vector<std::vector<AnnMatch>>> LshSearcher::ExecutePrepared(
-    PreparedBatch batch) {
   GENIE_ASSIGN_OR_RETURN(std::vector<QueryResult> raw,
-                         engine_->ExecuteBatch(batch.compiled));
+                         engine_->ExecuteBatch(compiled));
   const double m = transformer_.family().num_functions();
   std::vector<std::vector<AnnMatch>> results(raw.size());
   for (size_t q = 0; q < raw.size(); ++q) {

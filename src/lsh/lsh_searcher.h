@@ -60,22 +60,10 @@ class LshSearcher {
       uint32_t appended_objects = 0);
 
   /// tau-ANN by match count: per query, candidates in descending count
-  /// order (entry 0 is the tau-ANN of Theorem 4.2). Equivalent to
-  /// ExecutePrepared(Prepare(queries)).
+  /// order (entry 0 is the tau-ANN of Theorem 4.2). Each query compiles
+  /// through transformer().MakeQuery.
   Result<std::vector<std::vector<AnnMatch>>> MatchBatch(
       const data::PointMatrix& queries);
-
-  /// Two-phase MatchBatch for the streaming pipeline: Prepare runs the
-  /// query transform (LSH hashing + re-hashing) on the host;
-  /// ExecutePrepared answers the compiled batch through the backend.
-  /// Prepare is safe to run concurrently with an ExecutePrepared on this
-  /// searcher — that concurrency is the pipeline's point.
-  struct PreparedBatch {
-    std::vector<Query> compiled;
-  };
-  Result<PreparedBatch> Prepare(const data::PointMatrix& queries);
-  Result<std::vector<std::vector<AnnMatch>>> ExecutePrepared(
-      PreparedBatch batch);
 
   /// kNN: takes the engine's top candidates and re-ranks by exact l_p
   /// distance, returning `k_nn` ids per query (ascending distance).

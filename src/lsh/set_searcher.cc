@@ -102,26 +102,20 @@ Status SetLshSearcher::SetUpEngine() {
   return Status::OK();
 }
 
+Query SetLshSearcher::MakeQuery(std::span<const uint32_t> set) const {
+  Query query;
+  for (Keyword kw : Transform(set)) query.AddItem(kw);
+  return query;
+}
+
 Result<std::vector<std::vector<AnnMatch>>> SetLshSearcher::MatchBatch(
     std::span<const std::vector<uint32_t>> queries) {
-  GENIE_ASSIGN_OR_RETURN(PreparedBatch batch, Prepare(queries));
-  return ExecutePrepared(std::move(batch));
-}
-
-Result<SetLshSearcher::PreparedBatch> SetLshSearcher::Prepare(
-    std::span<const std::vector<uint32_t>> queries) {
-  PreparedBatch batch;
-  batch.compiled.resize(queries.size());
+  std::vector<Query> compiled(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    for (Keyword kw : Transform(queries[i])) batch.compiled[i].AddItem(kw);
+    compiled[i] = MakeQuery(queries[i]);
   }
-  return batch;
-}
-
-Result<std::vector<std::vector<AnnMatch>>> SetLshSearcher::ExecutePrepared(
-    PreparedBatch batch) {
   GENIE_ASSIGN_OR_RETURN(std::vector<QueryResult> raw,
-                         engine_->ExecuteBatch(batch.compiled));
+                         engine_->ExecuteBatch(compiled));
   const double m = family_->num_functions();
   std::vector<std::vector<AnnMatch>> results(raw.size());
   for (size_t q = 0; q < raw.size(); ++q) {

@@ -23,12 +23,9 @@ namespace lsh {
 /// A dataset of element-id sets (need not be sorted or deduplicated).
 using SetDataset = std::vector<std::vector<uint32_t>>;
 
-struct SetSearchOptions {
-  LshTransformOptions transform;
-  MatchEngineOptions engine;  // engine.k = candidates kept per query
-  IndexBuildOptions build;
-  EngineBackendOptions backend;
-};
+/// Same knobs as the vector searcher: transform, engine (engine.k =
+/// candidates kept per query), build and backend.
+using SetSearchOptions = LshSearchOptions;
 
 class SetLshSearcher {
  public:
@@ -50,21 +47,10 @@ class SetLshSearcher {
 
   /// Candidates per query in descending match-count order; entry 0 is the
   /// tau-ANN under the family's similarity (Jaccard for MinHash), and
-  /// count/m estimates that similarity (Eqn. 7). Equivalent to
-  /// ExecutePrepared(Prepare(queries)).
+  /// count/m estimates that similarity (Eqn. 7). Each query compiles
+  /// through MakeQuery.
   Result<std::vector<std::vector<AnnMatch>>> MatchBatch(
       std::span<const std::vector<uint32_t>> queries);
-
-  /// Two-phase MatchBatch for the streaming pipeline (see
-  /// LshSearcher::Prepare): MinHash transform, then execution; Prepare may
-  /// run concurrently with ExecutePrepared.
-  struct PreparedBatch {
-    std::vector<Query> compiled;
-  };
-  Result<PreparedBatch> Prepare(
-      std::span<const std::vector<uint32_t>> queries);
-  Result<std::vector<std::vector<AnnMatch>>> ExecutePrepared(
-      PreparedBatch batch);
 
   /// kNN by exact Jaccard similarity over the top match-count candidates
   /// (descending similarity).
@@ -85,6 +71,9 @@ class SetLshSearcher {
   /// transform the index was built with. Public so live insertion can
   /// extract an inserted set's keywords.
   std::vector<Keyword> Transform(std::span<const uint32_t> set) const;
+
+  /// The match-count query of one set: one item per hash function.
+  Query MakeQuery(std::span<const uint32_t> set) const;
 
  private:
   SetLshSearcher(const SetDataset* sets,

@@ -22,11 +22,28 @@ DocumentSearcher::DocumentSearcher(const std::vector<Document>* docs,
 Result<std::unique_ptr<DocumentSearcher>> DocumentSearcher::Create(
     const std::vector<Document>* docs, const DocumentSearchOptions& options) {
   if (docs == nullptr) return Status::InvalidArgument("docs is null");
-  if (options.k == 0) return Status::InvalidArgument("k must be >= 1");
-  std::unique_ptr<DocumentSearcher> searcher(
-      new DocumentSearcher(docs, options));
-  GENIE_RETURN_NOT_OK(searcher->Init());
-  return searcher;
+  uint32_t max_token = 0;
+  for (const Document& doc : *docs) {
+    for (uint32_t t : doc) {
+      // The token universe is the largest token + 1, which must not wrap.
+      if (t == kInvalidKeyword) {
+        return Status::InvalidArgument(
+            "document token id 0xFFFFFFFF is reserved");
+      }
+      max_token = std::max(max_token, t);
+    }
+  }
+  const uint32_t vocab_size = max_token + 1;
+  InvertedIndexBuilder builder(vocab_size);
+  for (size_t i = 0; i < docs->size(); ++i) {
+    for (uint32_t t : Dedup((*docs)[i])) {
+      builder.Add(static_cast<ObjectId>(i), t);
+    }
+  }
+  // An empty document still takes its id, so the index spans the dataset.
+  builder.EnsureNumObjects(static_cast<uint32_t>(docs->size()));
+  GENIE_ASSIGN_OR_RETURN(InvertedIndex index, std::move(builder).Build());
+  return Restore(docs, options, vocab_size, std::move(index));
 }
 
 Result<std::unique_ptr<DocumentSearcher>> DocumentSearcher::Restore(
@@ -50,33 +67,13 @@ Result<std::unique_ptr<DocumentSearcher>> DocumentSearcher::Restore(
       new DocumentSearcher(docs, options));
   searcher->vocab_size_ = vocab_size;
   searcher->index_ = std::move(index);
-  GENIE_RETURN_NOT_OK(searcher->SetUpEngine());
+  MatchEngineOptions engine_options = options.engine;
+  engine_options.k = options.k;
+  GENIE_ASSIGN_OR_RETURN(searcher->engine_,
+                         EngineBackend::Create(&searcher->index_,
+                                               engine_options,
+                                               options.backend));
   return searcher;
-}
-
-Status DocumentSearcher::Init() {
-  uint32_t max_token = 0;
-  for (const Document& doc : *docs_) {
-    for (uint32_t t : doc) max_token = std::max(max_token, t);
-  }
-  vocab_size_ = max_token + 1;
-  InvertedIndexBuilder builder(vocab_size_);
-  for (size_t i = 0; i < docs_->size(); ++i) {
-    for (uint32_t t : Dedup((*docs_)[i])) {
-      builder.Add(static_cast<ObjectId>(i), t);
-    }
-  }
-  GENIE_ASSIGN_OR_RETURN(index_, std::move(builder).Build());
-  return SetUpEngine();
-}
-
-Status DocumentSearcher::SetUpEngine() {
-  MatchEngineOptions engine_options = options_.engine;
-  engine_options.k = options_.k;
-  GENIE_ASSIGN_OR_RETURN(
-      engine_, EngineBackend::Create(&index_, engine_options,
-                                     options_.backend));
-  return Status::OK();
 }
 
 Query DocumentSearcher::Compile(const Document& query) const {
@@ -105,23 +102,9 @@ std::vector<Keyword> DocumentSearcher::ExtractKeywords(const Document& doc) {
 
 Result<std::vector<QueryResult>> DocumentSearcher::SearchBatch(
     std::span<const Document> queries) {
-  GENIE_ASSIGN_OR_RETURN(PreparedBatch batch, Prepare(queries));
-  return ExecutePrepared(std::move(batch));
-}
-
-Result<DocumentSearcher::PreparedBatch> DocumentSearcher::Prepare(
-    std::span<const Document> queries) {
-  PreparedBatch batch;
-  batch.compiled.resize(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    batch.compiled[i] = Compile(queries[i]);
-  }
-  return batch;
-}
-
-Result<std::vector<QueryResult>> DocumentSearcher::ExecutePrepared(
-    PreparedBatch batch) {
-  return engine_->ExecuteBatch(batch.compiled);
+  std::vector<Query> compiled(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) compiled[i] = Compile(queries[i]);
+  return engine_->ExecuteBatch(compiled);
 }
 
 }  // namespace sa

@@ -35,9 +35,10 @@ class DocumentSearcher {
   static Result<std::unique_ptr<DocumentSearcher>> Create(
       const std::vector<Document>* docs, const DocumentSearchOptions& options);
 
-  /// Reassembles a searcher from persisted state (bundle open): the token
-  /// universe bound and index come from the bundle instead of being
-  /// re-derived / rebuilt from the dataset.
+  /// Reassembles a searcher from persisted state (bundle open; Create ends
+  /// here with the index it built): the token universe bound and index
+  /// come from the bundle instead of being re-derived / rebuilt from the
+  /// dataset.
   /// `appended_objects` (> 0 only on mutated v2 bundles) is the number of
   /// documents inserted after the base dataset: the index then holds
   /// between docs->size() and docs->size() + appended_objects objects and
@@ -48,19 +49,11 @@ class DocumentSearcher {
       uint32_t vocab_size, InvertedIndex index, uint32_t appended_objects = 0);
 
   /// Per query: top-k documents by word-overlap (inner product).
-  /// Equivalent to ExecutePrepared(Prepare(queries)).
   Result<std::vector<QueryResult>> SearchBatch(
       std::span<const Document> queries);
 
-  /// Two-phase SearchBatch for the streaming pipeline: token dedup +
-  /// compile, then execution. Prepare may run concurrently with
-  /// ExecutePrepared.
-  struct PreparedBatch {
-    std::vector<Query> compiled;
-  };
-  Result<PreparedBatch> Prepare(std::span<const Document> queries);
-  Result<std::vector<QueryResult>> ExecutePrepared(PreparedBatch batch);
-
+  /// Dedups the query's tokens into one item each; tokens outside the
+  /// token universe are dropped (no document holds them).
   Query Compile(const Document& query) const;
 
   MatchProfile profile() const { return engine_->profile(); }
@@ -80,9 +73,6 @@ class DocumentSearcher {
  private:
   DocumentSearcher(const std::vector<Document>* docs,
                    const DocumentSearchOptions& options);
-  Status Init();
-  /// Creates the EngineBackend over the (built or restored) index_.
-  Status SetUpEngine();
 
   const std::vector<Document>* docs_;
   DocumentSearchOptions options_;

@@ -32,9 +32,8 @@ RelationalTable::RelationalTable(std::vector<std::vector<uint32_t>> columns,
   }
 }
 
-RelationalSearcher::RelationalSearcher(const RelationalTable* table,
-                                       uint32_t k)
-    : table_(table), k_(k) {}
+RelationalSearcher::RelationalSearcher(const RelationalTable* table)
+    : table_(table) {}
 
 Result<std::unique_ptr<RelationalSearcher>> RelationalSearcher::Create(
     const RelationalTable* table, uint32_t k,
@@ -45,12 +44,21 @@ Result<std::unique_ptr<RelationalSearcher>> RelationalSearcher::Create(
   if (table->num_columns() == 0) {
     return Status::InvalidArgument("table has no columns");
   }
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  std::unique_ptr<RelationalSearcher> searcher(
-      new RelationalSearcher(table, k));
-  GENIE_RETURN_NOT_OK(
-      searcher->Init(engine_options, build_options, backend_options));
-  return searcher;
+  std::vector<uint32_t> cardinalities(table->num_columns());
+  for (uint32_t c = 0; c < table->num_columns(); ++c) {
+    cardinalities[c] = table->cardinality(c);
+  }
+  const DimValueEncoder encoder(cardinalities);
+  InvertedIndexBuilder builder(encoder.vocab_size());
+  for (uint32_t row = 0; row < table->num_rows(); ++row) {
+    for (uint32_t col = 0; col < table->num_columns(); ++col) {
+      builder.Add(row, encoder.EncodeUnchecked(col, table->value(row, col)));
+    }
+  }
+  GENIE_ASSIGN_OR_RETURN(InvertedIndex index,
+                         std::move(builder).Build(build_options));
+  return Restore(table, k, cardinalities, table->num_rows(), std::move(index),
+                 engine_options, build_options, backend_options);
 }
 
 Result<std::unique_ptr<RelationalSearcher>> RelationalSearcher::Restore(
@@ -81,50 +89,23 @@ Result<std::unique_ptr<RelationalSearcher>> RelationalSearcher::Restore(
         "index object count does not match the saved table shape");
   }
   std::unique_ptr<RelationalSearcher> searcher(
-      new RelationalSearcher(table, k));
+      new RelationalSearcher(table));
   searcher->encoder_ = std::make_unique<DimValueEncoder>(cardinalities);
   if (index.vocab_size() != searcher->encoder_->vocab_size()) {
     return Status::InvalidArgument(
         "index vocabulary does not match the column layout");
   }
   searcher->index_ = std::move(index);
-  GENIE_RETURN_NOT_OK(
-      searcher->SetUpEngine(engine_options, build_options, backend_options));
-  return searcher;
-}
-
-Status RelationalSearcher::Init(const MatchEngineOptions& engine_options,
-                                const IndexBuildOptions& build_options,
-                                const EngineBackendOptions& backend_options) {
-  std::vector<uint32_t> cardinalities(table_->num_columns());
-  for (uint32_t c = 0; c < table_->num_columns(); ++c) {
-    cardinalities[c] = table_->cardinality(c);
-  }
-  encoder_ = std::make_unique<DimValueEncoder>(std::move(cardinalities));
-
-  InvertedIndexBuilder builder(encoder_->vocab_size());
-  for (uint32_t row = 0; row < table_->num_rows(); ++row) {
-    for (uint32_t col = 0; col < table_->num_columns(); ++col) {
-      builder.Add(row, encoder_->EncodeUnchecked(col, table_->value(row, col)));
-    }
-  }
-  GENIE_ASSIGN_OR_RETURN(index_, std::move(builder).Build(build_options));
-  return SetUpEngine(engine_options, build_options, backend_options);
-}
-
-Status RelationalSearcher::SetUpEngine(
-    const MatchEngineOptions& engine_options,
-    const IndexBuildOptions& build_options,
-    const EngineBackendOptions& backend_options) {
   MatchEngineOptions opts = engine_options;
-  opts.k = k_;
+  opts.k = k;
   // One value per attribute => an object matches each item at most once.
-  opts.max_count = table_->num_columns();
+  opts.max_count = table->num_columns();
   EngineBackendOptions backend = backend_options;
   backend.shard_build = build_options;
-  GENIE_ASSIGN_OR_RETURN(engine_,
-                         EngineBackend::Create(&index_, opts, backend));
-  return Status::OK();
+  GENIE_ASSIGN_OR_RETURN(
+      searcher->engine_,
+      EngineBackend::Create(&searcher->index_, opts, backend));
+  return searcher;
 }
 
 Result<Query> RelationalSearcher::Compile(const RangeQuery& query) const {
@@ -150,23 +131,11 @@ Result<Query> RelationalSearcher::Compile(const RangeQuery& query) const {
 
 Result<std::vector<QueryResult>> RelationalSearcher::SearchBatch(
     std::span<const RangeQuery> queries) const {
-  GENIE_ASSIGN_OR_RETURN(PreparedBatch batch, Prepare(queries));
-  return ExecutePrepared(std::move(batch));
-}
-
-Result<RelationalSearcher::PreparedBatch> RelationalSearcher::Prepare(
-    std::span<const RangeQuery> queries) const {
-  PreparedBatch batch;
-  batch.compiled.resize(queries.size());
+  std::vector<Query> compiled(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    GENIE_ASSIGN_OR_RETURN(batch.compiled[i], Compile(queries[i]));
+    GENIE_ASSIGN_OR_RETURN(compiled[i], Compile(queries[i]));
   }
-  return batch;
-}
-
-Result<std::vector<QueryResult>> RelationalSearcher::ExecutePrepared(
-    PreparedBatch batch) const {
-  return engine_->ExecuteBatch(batch.compiled);
+  return engine_->ExecuteBatch(compiled);
 }
 
 }  // namespace sa

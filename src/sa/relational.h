@@ -90,10 +90,10 @@ class RelationalSearcher {
       const IndexBuildOptions& build_options = {},
       const EngineBackendOptions& backend_options = {});
 
-  /// Reassembles a searcher from persisted state (bundle open): the column
-  /// layout the index was built with (`cardinalities`, `num_rows`) is
-  /// validated against the rebound table, and the index is served as
-  /// loaded instead of being rebuilt. `appended_objects` (> 0 only on
+  /// Reassembles a searcher from persisted state (bundle open; Create ends
+  /// here with the index it built): the column layout the index was built
+  /// with (`cardinalities`, `num_rows`) is validated against the rebound
+  /// table, and the index is served as loaded instead of being rebuilt. `appended_objects` (> 0 only on
   /// mutated v2 bundles) is the number of rows inserted after the base
   /// table: the index then holds between num_rows and
   /// num_rows + appended_objects objects.
@@ -105,18 +105,9 @@ class RelationalSearcher {
       const EngineBackendOptions& backend_options = {},
       uint32_t appended_objects = 0);
 
-  /// Top-k rows by number of satisfied ranges. Equivalent to
-  /// ExecutePrepared(Prepare(queries)).
+  /// Top-k rows by number of satisfied ranges.
   Result<std::vector<QueryResult>> SearchBatch(
       std::span<const RangeQuery> queries) const;
-
-  /// Two-phase SearchBatch for the streaming pipeline: range lowering,
-  /// then execution. Prepare may run concurrently with ExecutePrepared.
-  struct PreparedBatch {
-    std::vector<Query> compiled;
-  };
-  Result<PreparedBatch> Prepare(std::span<const RangeQuery> queries) const;
-  Result<std::vector<QueryResult>> ExecutePrepared(PreparedBatch batch) const;
 
   /// Lowers a range query: one item per attribute covering the bucket run.
   Result<Query> Compile(const RangeQuery& query) const;
@@ -128,17 +119,9 @@ class RelationalSearcher {
   EngineBackend& backend() { return *engine_; }
 
  private:
-  RelationalSearcher(const RelationalTable* table, uint32_t k);
-  Status Init(const MatchEngineOptions& engine_options,
-              const IndexBuildOptions& build_options,
-              const EngineBackendOptions& backend_options);
-  /// Creates the EngineBackend over the (built or restored) index_.
-  Status SetUpEngine(const MatchEngineOptions& engine_options,
-                     const IndexBuildOptions& build_options,
-                     const EngineBackendOptions& backend_options);
+  explicit RelationalSearcher(const RelationalTable* table);
 
   const RelationalTable* table_;
-  uint32_t k_;
   std::unique_ptr<DimValueEncoder> encoder_;
   InvertedIndex index_;
   std::unique_ptr<EngineBackend> engine_;

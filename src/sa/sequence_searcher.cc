@@ -21,14 +21,25 @@ Result<std::unique_ptr<SequenceSearcher>> SequenceSearcher::Create(
     return Status::InvalidArgument("sequences is null");
   }
   if (options.ngram == 0) return Status::InvalidArgument("ngram must be >= 1");
-  if (options.k == 0) return Status::InvalidArgument("k must be >= 1");
-  if (options.candidate_k < options.k) {
-    return Status::InvalidArgument("candidate_k must be >= k");
+  // Shotgun: decompose every sequence into ordered n-grams; the token
+  // (gram, occurrence) is the index keyword.
+  StringVocabulary vocab;
+  std::vector<std::vector<Keyword>> per_object(sequences->size());
+  for (size_t i = 0; i < sequences->size(); ++i) {
+    for (const OrderedNgram& g : OrderedNgrams((*sequences)[i],
+                                               options.ngram)) {
+      per_object[i].push_back(vocab.GetOrAdd(g.ToToken()));
+    }
   }
-  std::unique_ptr<SequenceSearcher> searcher(
-      new SequenceSearcher(sequences, options));
-  GENIE_RETURN_NOT_OK(searcher->Init());
-  return searcher;
+  InvertedIndexBuilder builder(
+      std::max<uint32_t>(1, static_cast<uint32_t>(vocab.size())));
+  for (size_t i = 0; i < per_object.size(); ++i) {
+    builder.AddObject(static_cast<ObjectId>(i), per_object[i]);
+  }
+  // A sequence shorter than n still takes its id.
+  builder.EnsureNumObjects(static_cast<uint32_t>(sequences->size()));
+  GENIE_ASSIGN_OR_RETURN(InvertedIndex index, std::move(builder).Build());
+  return Restore(sequences, options, std::move(vocab), std::move(index));
 }
 
 Result<std::unique_ptr<SequenceSearcher>> SequenceSearcher::Restore(
@@ -61,37 +72,13 @@ Result<std::unique_ptr<SequenceSearcher>> SequenceSearcher::Restore(
       new SequenceSearcher(sequences, options));
   searcher->vocab_ = std::move(vocab);
   searcher->index_ = std::move(index);
-  GENIE_RETURN_NOT_OK(searcher->SetUpEngine());
+  MatchEngineOptions engine_options = options.engine;
+  engine_options.k = options.candidate_k;
+  GENIE_ASSIGN_OR_RETURN(searcher->engine_,
+                         EngineBackend::Create(&searcher->index_,
+                                               engine_options,
+                                               options.backend));
   return searcher;
-}
-
-Status SequenceSearcher::Init() {
-  // Shotgun: decompose every sequence into ordered n-grams; the token
-  // (gram, occurrence) is the index keyword.
-  std::vector<std::vector<Keyword>> per_object(sequences_->size());
-  for (size_t i = 0; i < sequences_->size(); ++i) {
-    for (const OrderedNgram& g : OrderedNgrams((*sequences_)[i],
-                                               options_.ngram)) {
-      per_object[i].push_back(vocab_.GetOrAdd(g.ToToken()));
-    }
-  }
-  const uint32_t vocab_size =
-      std::max<uint32_t>(1, static_cast<uint32_t>(vocab_.size()));
-  InvertedIndexBuilder builder(vocab_size);
-  for (size_t i = 0; i < per_object.size(); ++i) {
-    builder.AddObject(static_cast<ObjectId>(i), per_object[i]);
-  }
-  GENIE_ASSIGN_OR_RETURN(index_, std::move(builder).Build());
-  return SetUpEngine();
-}
-
-Status SequenceSearcher::SetUpEngine() {
-  MatchEngineOptions engine_options = options_.engine;
-  engine_options.k = options_.candidate_k;
-  GENIE_ASSIGN_OR_RETURN(
-      engine_, EngineBackend::Create(&index_, engine_options,
-                                     options_.backend));
-  return Status::OK();
 }
 
 Query SequenceSearcher::Compile(const std::string& query) const {
@@ -213,28 +200,19 @@ SequenceSearchOutcome SequenceSearcher::Verify(
 
 Result<std::vector<SequenceSearchOutcome>> SequenceSearcher::SearchBatch(
     std::span<const std::string> queries) {
-  GENIE_ASSIGN_OR_RETURN(PreparedBatch batch, Prepare(queries));
-  return ExecutePrepared(queries, std::move(batch));
+  std::vector<Query> compiled(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) compiled[i] = Compile(queries[i]);
+  return ExecuteCompiled(queries, std::move(compiled));
 }
 
-Result<SequenceSearcher::PreparedBatch> SequenceSearcher::Prepare(
-    std::span<const std::string> queries) {
-  PreparedBatch batch;
-  batch.compiled.resize(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    batch.compiled[i] = Compile(queries[i]);
-  }
-  return batch;
-}
-
-Result<std::vector<SequenceSearchOutcome>> SequenceSearcher::ExecutePrepared(
-    std::span<const std::string> queries, PreparedBatch batch) {
-  if (batch.compiled.size() != queries.size()) {
+Result<std::vector<SequenceSearchOutcome>> SequenceSearcher::ExecuteCompiled(
+    std::span<const std::string> queries, std::vector<Query> compiled) {
+  if (compiled.size() != queries.size()) {
     return Status::InvalidArgument(
-        "prepared batch does not match the query span");
+        "compiled batch does not match the query span");
   }
   GENIE_ASSIGN_OR_RETURN(std::vector<QueryResult> raw,
-                         engine_->ExecuteBatch(batch.compiled));
+                         engine_->ExecuteBatch(compiled));
   std::vector<SequenceSearchOutcome> outcomes(queries.size());
   {
     ScopedTimer timer(&verify_seconds_);

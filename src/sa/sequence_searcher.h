@@ -60,11 +60,11 @@ class SequenceSearcher {
       const std::vector<std::string>* sequences,
       const SequenceSearchOptions& options);
 
-  /// Reassembles a searcher from persisted state (bundle open): the n-gram
-  /// vocabulary and index come from the bundle instead of being rebuilt,
-  /// so queries compile to exactly the saved keywords. `sequences` is
-  /// still consulted for verification (Algorithm 2) and must match the
-  /// indexed dataset.
+  /// Reassembles a searcher from persisted state (bundle open; Create ends
+  /// here with the index it built): the n-gram vocabulary and index come
+  /// from the bundle instead of being rebuilt, so queries compile to
+  /// exactly the saved keywords. `sequences` is still consulted for
+  /// verification (Algorithm 2) and must match the indexed dataset.
   /// `appended_objects` (> 0 only on mutated v2 bundles) is the number of
   /// sequences inserted after the base dataset (re-attached afterwards via
   /// AppendSequence, in id order): the index then holds between
@@ -76,20 +76,16 @@ class SequenceSearcher {
       const SequenceSearchOptions& options, StringVocabulary vocab,
       InvertedIndex index, uint32_t appended_objects = 0);
 
+  /// Equivalent to ExecuteCompiled over each query's Compile.
   Result<std::vector<SequenceSearchOutcome>> SearchBatch(
       std::span<const std::string> queries);
 
-  /// Two-phase SearchBatch for the streaming pipeline: Prepare compiles
-  /// the first round's n-gram queries; ExecutePrepared executes them,
-  /// verifies (Algorithm 2), and — when escalation is enabled — runs the
-  /// later rounds exactly like SearchBatch (those rounds re-compile at the
-  /// widened K). `queries` must be the span Prepare saw.
-  struct PreparedBatch {
-    std::vector<Query> compiled;
-  };
-  Result<PreparedBatch> Prepare(std::span<const std::string> queries);
-  Result<std::vector<SequenceSearchOutcome>> ExecutePrepared(
-      std::span<const std::string> queries, PreparedBatch batch);
+  /// Executes the first round's compiled n-gram queries (`compiled[i]` is
+  /// Compile(queries[i])), verifies them (Algorithm 2) and — when
+  /// escalation is enabled — runs the later rounds, which re-compile at
+  /// the widened K.
+  Result<std::vector<SequenceSearchOutcome>> ExecuteCompiled(
+      std::span<const std::string> queries, std::vector<Query> compiled);
 
   /// Compiles a query sequence: one single-keyword item per ordered n-gram
   /// known to the vocabulary.
@@ -101,9 +97,6 @@ class SequenceSearcher {
   const EngineBackend& backend() const { return *engine_; }
   EngineBackend& backend() { return *engine_; }
   uint32_t ngram() const { return options_.ngram; }
-  /// Only safe while no concurrent insertion can grow the vocabulary (e.g.
-  /// under the facade's PauseMutation during Save).
-  const StringVocabulary& vocabulary() const { return vocab_; }
   /// Locked vocabulary serialization for Save: safe against a concurrent
   /// insert that is still in its ExtractKeywords phase (PauseMutation only
   /// blocks the id-assignment phase).
@@ -130,10 +123,6 @@ class SequenceSearcher {
  private:
   SequenceSearcher(const std::vector<std::string>* sequences,
                    const SequenceSearchOptions& options);
-
-  Status Init();
-  /// Creates the EngineBackend over the (built or restored) index_.
-  Status SetUpEngine();
 
   /// Algorithm 2 over one query's candidate list.
   SequenceSearchOutcome Verify(const std::string& query,

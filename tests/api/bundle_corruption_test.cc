@@ -10,15 +10,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "api/genie.h"
+#include "common/rng.h"
 #include "data/documents.h"
+#include "data/points.h"
 #include "data/sequences.h"
+#include "lsh/murmur3.h"
 #include "test_util.h"
 
 namespace genie {
@@ -73,6 +79,45 @@ struct SequencesFixture {
 
   EngineConfig Config() const {
     return EngineConfig().Sequences(&sequences).K(2).CandidateK(8).Device(
+        test::SharedTestDevice(2));
+  }
+};
+
+/// A tiny points engine, whose mutation section carries appended rows.
+struct PointsFixture {
+  data::PointMatrix points;
+
+  PointsFixture() {
+    data::ClusteredPointsOptions options;
+    options.num_points = 30;
+    options.dim = 4;
+    options.num_clusters = 3;
+    options.seed = 133;
+    points = data::MakeClusteredPoints(options).points;
+  }
+
+  EngineConfig Config() const {
+    return EngineConfig().Points(&points).K(2).HashFunctions(8).Device(
+        test::SharedTestDevice(2));
+  }
+};
+
+/// A tiny sets engine, whose mutation section carries appended sets.
+struct SetsFixture {
+  std::vector<std::vector<uint32_t>> sets;
+
+  SetsFixture() {
+    Rng rng(134);
+    sets.resize(30);
+    for (auto& set : sets) {
+      for (int i = 0; i < 6; ++i) {
+        set.push_back(static_cast<uint32_t>(rng.UniformU64(500)));
+      }
+    }
+  }
+
+  EngineConfig Config() const {
+    return EngineConfig().Sets(&sets).K(2).HashFunctions(8).Device(
         test::SharedTestDevice(2));
   }
 };
@@ -161,6 +206,117 @@ TEST(BundleCorruptionTest, EveryTruncationRejectedSequencesCompressed) {
 
 /// Appended trailing garbage must be rejected too (the index section is
 /// length-checked against the file end).
+/// The bundle's trailing checksum over `bytes` (everything before it): a
+/// murmur3 chain over 64 KiB blocks, finished with the byte count. Not a
+/// MAC — anyone who edits a bundle can recompute it.
+uint64_t BundleChecksum(const std::string& bytes) {
+  constexpr size_t kBlock = 64 * 1024;
+  uint64_t digest = 0x474E4942444C3156ULL;
+  for (size_t pos = 0; pos < bytes.size(); pos += kBlock) {
+    digest = lsh::Murmur3_64(bytes.data() + pos,
+                             std::min(kBlock, bytes.size() - pos), digest);
+  }
+  const uint64_t total = bytes.size();
+  return lsh::Murmur3_64(&total, sizeof(total), digest);
+}
+
+/// Start and length of a saved bundle's mutation section:
+/// magic | u32 version | u32 modality | u64 meta_bytes | meta
+/// | u64 mutation_bytes | mutation ...
+size_t MutationSection(const std::string& bytes, uint64_t* length) {
+  uint64_t meta_bytes = 0;
+  std::memcpy(&meta_bytes, bytes.data() + 16, sizeof(meta_bytes));
+  const size_t at = 24 + meta_bytes;
+  std::memcpy(length, bytes.data() + at, sizeof(*length));
+  return at + sizeof(*length);
+}
+
+/// Overwrites the u32 at `at` (which must hold `expected`) with
+/// 0xFFFFFFFF and re-seals the checksum, the way a forger would.
+void ForgeU32(std::string* bytes, size_t at, uint32_t expected) {
+  uint32_t value = 0;
+  std::memcpy(&value, bytes->data() + at, sizeof(value));
+  ASSERT_EQ(value, expected);
+  const uint32_t forged = 0xFFFFFFFFu;
+  std::memcpy(bytes->data() + at, &forged, sizeof(forged));
+  const size_t body = bytes->size() - sizeof(uint64_t);
+  const uint64_t checksum = BundleChecksum(bytes->substr(0, body));
+  std::memcpy(bytes->data() + body, &checksum, sizeof(checksum));
+}
+
+/// Saves `engine`, lets `forge` edit the bundle, and requires Open to
+/// reject it with InvalidArgument (no allocation sized by a forged count,
+/// no engine that aborts later).
+template <typename Forge>
+void ExpectForgeryRejected(Engine* engine, const EngineConfig& open_config,
+                           const std::string& name, const Forge& forge) {
+  const std::string path = TempPath("genie_forged_" + name + ".gnb");
+  ASSERT_TRUE(engine->Save(path).ok());
+  std::string bytes = ReadFile(path);
+  uint64_t length = 0;
+  const size_t section = MutationSection(bytes, &length);
+  forge(&bytes, section, length);
+  WriteFile(path, bytes);
+  auto opened = Engine::Open(path, open_config);
+  std::remove(path.c_str());
+  ASSERT_FALSE(opened.ok()) << name << ": forged bundle was accepted";
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument)
+      << name << ": " << opened.status().ToString();
+}
+
+/// An engine whose only mutation is a removal saves a mutation section
+/// that starts with a delta segment count of 0 and, for modalities with
+/// side data, ends in a side-data count of 0.
+template <typename Fixture>
+void ExpectForgedCountRejected(const Fixture& fixture, const std::string& name,
+                               bool forge_segments) {
+  auto engine = Engine::Create(fixture.Config());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_TRUE((*engine)->Remove(std::vector<ObjectId>{0}).ok());
+  ExpectForgeryRejected(
+      engine->get(), fixture.Config(), name,
+      [&](std::string* bytes, size_t section, uint64_t length) {
+        ASSERT_GE(length, sizeof(uint32_t));
+        ForgeU32(bytes, forge_segments ? section
+                                       : section + length - sizeof(uint32_t),
+                 0);
+      });
+}
+
+TEST(BundleCorruptionTest, ForgedSideDataCountRejectedPoints) {
+  ExpectForgedCountRejected(PointsFixture(), "points", false);
+}
+
+TEST(BundleCorruptionTest, ForgedSideDataCountRejectedSets) {
+  ExpectForgedCountRejected(SetsFixture(), "sets", false);
+}
+
+TEST(BundleCorruptionTest, ForgedSideDataCountRejectedSequences) {
+  ExpectForgedCountRejected(SequencesFixture(), "sequences", false);
+}
+
+TEST(BundleCorruptionTest, ForgedDeltaSegmentCountRejected) {
+  ExpectForgedCountRejected(DocumentsFixture(), "segments", true);
+}
+
+/// A delta keyword of 0xFFFFFFFF would size the compacted vocabulary as
+/// 0xFFFFFFFF + 1, which wraps to 0 and aborts the next compaction.
+TEST(BundleCorruptionTest, ForgedDeltaKeywordRejected) {
+  auto workload = test::MakeRandomWorkload(20, 10, 3, 1, 2, 135);
+  const EngineConfig open_config =
+      EngineConfig().K(2).Device(test::SharedTestDevice(2));
+  auto engine = Engine::Create(EngineConfig(open_config).Index(&workload.index));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const std::vector<std::vector<Keyword>> objects{{5}};
+  ASSERT_TRUE((*engine)->Insert(InsertRequest::Objects(objects)).ok());
+  // One sealed segment: u32 count | u64 n + u32 id | u64 n + 2 x u32
+  // offsets | u64 n + u32 keyword.
+  ExpectForgeryRejected(engine->get(), open_config, "keyword",
+                        [](std::string* bytes, size_t section, uint64_t) {
+                          ForgeU32(bytes, section + 4 + 12 + 16 + 8, 5);
+                        });
+}
+
 TEST(BundleCorruptionTest, TrailingGarbageRejected) {
   DocumentsFixture fixture;
   const std::string path = TempPath("genie_corrupt_trailing.gnb");

@@ -181,6 +181,37 @@ TEST(BundleRoundTripTest, Documents) {
       [&] { return SearchRequest::Documents(queries); });
 }
 
+// The last base object yields no keyword (a sequence shorter than n, an
+// empty document); the index still spans every base id, so the bundle
+// reopens.
+TEST(BundleRoundTripTest, TrailingKeywordlessSequence) {
+  std::vector<std::string> sequences{"abcdefgh", "bcdefghi", "ab"};
+  std::vector<std::string> queries{"abcdefgx", "ab"};
+  CheckBundleRoundTrip(
+      "trailing_sequence",
+      [&] {
+        return EngineConfig()
+            .Sequences(&sequences)
+            .K(1)
+            .CandidateK(2)
+            .Ngram(3)
+            .Device(test::SharedTestDevice(2));
+      },
+      [&] { return SearchRequest::Sequences(queries); });
+}
+
+TEST(BundleRoundTripTest, TrailingEmptyDocument) {
+  std::vector<std::vector<uint32_t>> documents{{1, 2}, {3, 4}, {}};
+  std::vector<std::vector<uint32_t>> queries{{1, 3}, {4}};
+  CheckBundleRoundTrip(
+      "trailing_document",
+      [&] {
+        return EngineConfig().Documents(&documents).K(2).Device(
+            test::SharedTestDevice(2));
+      },
+      [&] { return SearchRequest::Documents(queries); });
+}
+
 TEST(BundleRoundTripTest, Relational) {
   data::RelationalDatasetOptions data_options;
   data_options.num_rows = 400;

@@ -315,6 +315,42 @@ TEST(MutationTest, RelationalInsertRemoveVisible) {
   EXPECT_FALSE(HitsContain(result->queries[0], 800));
 }
 
+// An id of 0xFFFFFFFF would size the compacted vocabulary as 0xFFFFFFFF + 1,
+// which wraps to 0: the whole batch is rejected before any id is assigned.
+TEST(MutationTest, DocumentsRejectReservedTokenId) {
+  data::DocumentDatasetOptions data_options;
+  data_options.num_documents = 50;
+  data_options.vocabulary = 200;
+  data_options.seed = 211;
+  auto corpus = data::MakeDocuments(data_options);
+  auto engine = Engine::Create(EngineConfig().Documents(&corpus).K(3).Device(
+      test::SharedTestDevice(4)));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  std::vector<std::vector<uint32_t>> docs{{7, 11}, {7, 0xFFFFFFFFu}};
+  EXPECT_EQ((*engine)->Insert(InsertRequest::Documents(docs)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*engine)->num_objects(), 50u);
+  EXPECT_TRUE((*engine)->Flush().ok());
+  EXPECT_EQ((*engine)->num_objects(), 50u);
+}
+
+TEST(MutationTest, CompiledRejectReservedKeywordId) {
+  auto workload = test::MakeRandomWorkload(100, 30, 4, 2, 3, 212);
+  auto engine = Engine::Create(EngineConfig()
+                                   .Index(&workload.index)
+                                   .K(5)
+                                   .Device(test::SharedTestDevice(4)));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  std::vector<std::vector<Keyword>> objects{{3}, {0xFFFFFFFFu}};
+  EXPECT_EQ((*engine)->Insert(InsertRequest::Objects(objects)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*engine)->num_objects(), 100u);
+  EXPECT_TRUE((*engine)->Flush().ok());
+  EXPECT_EQ((*engine)->num_objects(), 100u);
+}
+
 TEST(MutationTest, CompiledRemoveContractAndBaseIds) {
   auto workload = test::MakeRandomWorkload(300, 50, 6, 6, 4, 207);
   auto engine = Engine::Create(EngineConfig()

@@ -140,10 +140,12 @@ TEST(PlannerIntegrationTest, PointsPlanMatchesEscalationPath) {
   options.engine.device = test::SharedTestDevice(2);
   auto searcher = lsh::LshSearcher::Create(&dataset.points, family, options);
   ASSERT_TRUE(searcher.ok()) << searcher.status().ToString();
-  auto compiled = (*searcher)->Prepare(queries);
-  ASSERT_TRUE(compiled.ok());
-  const auto want = SingleLoadCounts((*searcher)->index(), compiled->compiled,
-                                     options.engine.k);
+  std::vector<Query> compiled;
+  for (uint32_t i = 0; i < queries.num_points(); ++i) {
+    compiled.push_back((*searcher)->transformer().MakeQuery(queries.row(i)));
+  }
+  const auto want =
+      SingleLoadCounts((*searcher)->index(), compiled, options.engine.k);
 
   CheckPlannedCounts(
       [&] {
@@ -183,10 +185,12 @@ TEST(PlannerIntegrationTest, SetsPlanMatchesEscalationPath) {
   options.engine.device = test::SharedTestDevice(2);
   auto searcher = lsh::SetLshSearcher::Create(&sets, family, options);
   ASSERT_TRUE(searcher.ok()) << searcher.status().ToString();
-  auto compiled = (*searcher)->Prepare(queries);
-  ASSERT_TRUE(compiled.ok());
-  const auto want = SingleLoadCounts((*searcher)->index(), compiled->compiled,
-                                     options.engine.k);
+  std::vector<Query> compiled;
+  for (const auto& query : queries) {
+    compiled.push_back((*searcher)->MakeQuery(query));
+  }
+  const auto want =
+      SingleLoadCounts((*searcher)->index(), compiled, options.engine.k);
 
   CheckPlannedCounts(
       [&] {

@@ -38,6 +38,9 @@ TEST(DocumentSearcherTest, CreateValidates) {
   std::vector<Document> docs{{1, 2, 3}};
   EXPECT_FALSE(DocumentSearcher::Create(nullptr, BaseOptions(1)).ok());
   EXPECT_FALSE(DocumentSearcher::Create(&docs, BaseOptions(0)).ok());
+  std::vector<Document> reserved{{1, 0xFFFFFFFFu}};
+  EXPECT_EQ(DocumentSearcher::Create(&reserved, BaseOptions(1)).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(DocumentSearcherTest, CountIsBinaryInnerProduct) {
